@@ -42,6 +42,48 @@ void BM_FFT_R2C(benchmark::State& state) {
 }
 BENCHMARK(BM_FFT_R2C)->Arg(1024)->Arg(1536);
 
+// Batched transforms at the DNS's dealiased line shapes (Re_tau=180 on
+// 32x65x32 runs 48-point z lines and 48-point real x lines, the campaign
+// sweep 24-point ones). Args: {length, lines}; lines = 1 keeps the cost of
+// a lone line visible next to the batched per-line cost (items = lines).
+void BM_FFT_C2C_Many(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto lines = static_cast<std::size_t>(state.range(1));
+  pcf::fft::c2c_plan plan(n, pcf::fft::direction::forward);
+  pcf::rng r(n);
+  std::vector<cplx> in(n * lines), out(n * lines);
+  for (auto& v : in) v = cplx{r.uniform(-1, 1), r.uniform(-1, 1)};
+  for (auto _ : state) {
+    plan.execute_many(in.data(), n, out.data(), n, lines);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<long>(state.iterations()) *
+                          static_cast<long>(lines));
+}
+BENCHMARK(BM_FFT_C2C_Many)
+    ->Args({24, 64})->Args({48, 64})->Args({24, 1})->Args({48, 1});
+
+void BM_FFT_R2C_Many(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto lines = static_cast<std::size_t>(state.range(1));
+  const std::size_t modes = n / 2 + 1;
+  pcf::fft::r2c_plan plan(n);
+  pcf::rng r(n);
+  std::vector<double> in(n * lines);
+  std::vector<cplx> out(modes * lines);
+  for (auto& v : in) v = r.uniform(-1, 1);
+  for (auto _ : state) {
+    plan.execute_many(in.data(), n, out.data(), modes, lines);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<long>(state.iterations()) *
+                          static_cast<long>(lines));
+}
+BENCHMARK(BM_FFT_R2C_Many)
+    ->Args({24, 64})->Args({48, 64})->Args({24, 1})->Args({48, 1});
+
 void BM_CompactFactorSolve(benchmark::State& state) {
   const int n = 1024, h = static_cast<int>(state.range(0));
   pcf::banded::compact_banded proto(n, h);

@@ -2,8 +2,8 @@
 #include <cmath>
 #include <numbers>
 
+#include "fft/engine.hpp"
 #include "fft/fft.hpp"
-#include "fft/scratch.hpp"
 #include "util/check.hpp"
 #include "util/counters.hpp"
 
@@ -12,8 +12,6 @@ namespace pcf::fft {
 namespace {
 
 constexpr std::size_t kMaxButterflyRadix = 31;
-
-using detail::scratch_arena;
 
 double twopi() { return 2.0 * std::numbers::pi; }
 
@@ -52,66 +50,27 @@ void dft_naive(const cplx* in, cplx* out, std::size_t n, int sign) {
 }
 
 // ---------------------------------------------------------------------------
-// Mixed-radix engine
+// Lane-blocked engine (fft/engine.hpp)
 // ---------------------------------------------------------------------------
 
-struct stage {
-  std::size_t n = 0;     // transform length at this depth
-  std::size_t r = 0;     // radix applied at this depth
-  std::size_t m = 0;     // n / r
-  // Twiddles in planar layout: tw[(q-1)*m + k2] = w_n^{q k2} for q in
-  // 1..r-1 (the q = 0 factor is always 1 and not stored). Planar rather
-  // than column-interleaved so the per-radix combine loops below read each
-  // twiddle stream contiguously in k2 — the layout the compiler can
-  // vectorize. The *values* are identical to the interleaved layout.
-  std::vector<cplx> tw;
-};
+namespace detail {
 
-struct c2c_plan::impl {
-  std::size_t n = 0;
-  direction dir_ = direction::forward;
-  double sign = -1.0;  // -1 forward, +1 inverse
-  std::vector<stage> stages;
-  // Root tables per distinct radix: roots[r][(q*k) % r] = w_r^{q k}.
-  std::vector<std::vector<cplx>> radix_roots;  // indexed by radix value
-  double flops = 0.0;
-
-  // Bluestein state (only when n is not smooth).
-  bool bluestein = false;
-  std::size_t bl_m = 0;                 // padded power-of-two length
-  std::vector<cplx> bl_chirp;           // a_j = exp(sign i pi j^2 / n)
-  std::vector<cplx> bl_bhat;            // FFT_M of the chirp filter
-  std::unique_ptr<c2c_plan> bl_fwd, bl_inv;
-
-  void build(std::size_t len, direction d);
-  void build_mixed_radix();
-  void build_bluestein();
-  void exec(std::size_t depth, const cplx* in, std::size_t istride,
-            cplx* out) const;
-  void exec_bluestein(const cplx* in, cplx* out) const;
-  void run(const cplx* in, cplx* out) const;
-
-  const cplx* roots(std::size_t r) const { return radix_roots[r].data(); }
-};
-
-void c2c_plan::impl::build(std::size_t len, direction d) {
-  n = len;
-  dir_ = d;
-  sign = (d == direction::forward) ? -1.0 : 1.0;
-  flops = (n > 1)
-              ? 5.0 * static_cast<double>(n) * std::log2(static_cast<double>(n))
-              : 0.0;
-  if (n <= 1) return;
-  if (is_smooth(n))
+engine::engine(std::size_t n, direction dir)
+    : n_(n), dir_(dir), sign_(dir == direction::forward ? -1.0 : 1.0) {
+  flops_ = (n_ > 1) ? 5.0 * static_cast<double>(n_) *
+                          std::log2(static_cast<double>(n_))
+                    : 0.0;
+  if (n_ <= 1) return;
+  if (is_smooth(n_))
     build_mixed_radix();
   else
     build_bluestein();
 }
 
-void c2c_plan::impl::build_mixed_radix() {
+void engine::build_mixed_radix() {
   // Merge prime factors: pairs of 2s become radix-4 stages (the hot path
   // for the power-of-two-rich grid sizes used in the DNS).
-  auto primes = factorize(n);
+  auto primes = factorize(n_);
   std::vector<std::size_t> radices;
   std::size_t twos = 0;
   for (std::size_t p : primes) {
@@ -127,264 +86,229 @@ void c2c_plan::impl::build_mixed_radix() {
   if (twos == 1) radices.push_back(2);
   std::sort(radices.begin(), radices.end(), std::greater<>());
 
-  radix_roots.assign(kMaxButterflyRadix + 1, {});
-  std::size_t rem = n;
+  roots_.assign(kMaxButterflyRadix + 1, {});
+  std::size_t rem = n_;
   for (std::size_t r : radices) {
     stage st;
-    st.n = rem;
     st.r = r;
     st.m = rem / r;
+    // Planar layout: each twiddle stream is contiguous in k2, the index
+    // the combine loops walk.
     st.tw.resize(st.m * (r - 1));
     for (std::size_t k2 = 0; k2 < st.m; ++k2) {
       for (std::size_t q = 1; q < r; ++q) {
-        const double ang = sign * twopi() *
-                           static_cast<double>((q * k2) % st.n) /
-                           static_cast<double>(st.n);
+        const double ang = sign_ * twopi() *
+                           static_cast<double>((q * k2) % rem) /
+                           static_cast<double>(rem);
         st.tw[(q - 1) * st.m + k2] = std::polar(1.0, ang);
       }
     }
-    if (radix_roots[r].empty()) {
-      radix_roots[r].resize(r);
+    if (roots_[r].empty()) {
+      roots_[r].resize(r);
       for (std::size_t q = 0; q < r; ++q)
-        radix_roots[r][q] =
-            std::polar(1.0, sign * twopi() * static_cast<double>(q) /
-                                static_cast<double>(r));
+        roots_[r][q] = std::polar(1.0, sign_ * twopi() *
+                                           static_cast<double>(q) /
+                                           static_cast<double>(r));
     }
-    stages.push_back(std::move(st));
+    stages_.push_back(std::move(st));
     rem /= r;
   }
   PCF_ASSERT(rem == 1);
 }
 
-void c2c_plan::impl::build_bluestein() {
-  bluestein = true;
-  bl_m = 1;
-  while (bl_m < 2 * n - 1) bl_m <<= 1;
-  bl_fwd = std::make_unique<c2c_plan>(bl_m, direction::forward);
-  bl_inv = std::make_unique<c2c_plan>(bl_m, direction::inverse);
+void engine::build_bluestein() {
+  bluestein_ = true;
+  bl_m_ = 1;
+  while (bl_m_ < 2 * n_ - 1) bl_m_ <<= 1;
+  bl_fwd_ = std::make_unique<engine>(bl_m_, direction::forward);
+  bl_inv_ = std::make_unique<engine>(bl_m_, direction::inverse);
 
-  bl_chirp.resize(n);
-  for (std::size_t j = 0; j < n; ++j) {
+  bl_chirp_.resize(n_);
+  for (std::size_t j = 0; j < n_; ++j) {
     // j^2 mod 2n keeps the argument small for accuracy.
-    const std::size_t j2 = (j * j) % (2 * n);
-    bl_chirp[j] = std::polar(
-        1.0, sign * std::numbers::pi * static_cast<double>(j2) /
-                 static_cast<double>(n));
+    const std::size_t j2 = (j * j) % (2 * n_);
+    bl_chirp_[j] = std::polar(
+        1.0, sign_ * std::numbers::pi * static_cast<double>(j2) /
+                 static_cast<double>(n_));
   }
-  std::vector<cplx> b(bl_m, cplx{0.0, 0.0});
-  for (std::size_t j = 0; j < n; ++j) {
-    const cplx c = std::conj(bl_chirp[j]);
+  std::vector<cplx> b(bl_m_, cplx{0.0, 0.0});
+  for (std::size_t j = 0; j < n_; ++j) {
+    const cplx c = std::conj(bl_chirp_[j]);
     b[j] = c;
-    if (j != 0) b[bl_m - j] = c;
+    if (j != 0) b[bl_m_ - j] = c;
   }
-  bl_bhat.resize(bl_m);
-  bl_fwd->execute(b.data(), bl_bhat.data());
+  bl_bhat_.resize(bl_m_);
+  bl_fwd_->execute_many(b.data(), bl_m_, bl_bhat_.data(), bl_m_, 1);
 }
 
 namespace {
 
-/// Column butterfly: y[q] live at base[q*colstride], pre-twiddled values in
-/// t[]. Specialized for radix 2/3/4; table-driven for other small primes.
-/// Used for the m == 1 leaf stage and the generic-prime combine; the hot
-/// m > 1 radix-2/3/4 combines run the widened per-stage loops in exec()
-/// with the identical per-element arithmetic.
-inline void butterfly(cplx* base, std::size_t colstride, const cplx* t,
+/// Butterfly over pre-twiddled inputs t[], writing output k to
+/// base + k * cs doubles. Specialized for radix R = 2/3/4; R = 0 is the
+/// table-driven butterfly of the other small primes r.
+template <std::size_t R>
+inline void butterfly(double* base, std::size_t cs, const clane* t,
                       std::size_t r, const cplx* roots, double sign) {
-  switch (r) {
-    case 2: {
-      const cplx a = t[0], b = t[1];
-      base[0] = a + b;
-      base[colstride] = a - b;
-      return;
+  if constexpr (R == 2) {
+    store(base, t[0] + t[1]);
+    store(base + cs, t[0] - t[1]);
+  } else if constexpr (R == 3) {
+    const double s3 = sign * 0.8660254037844386467637231707529362;  // sqrt(3)/2
+    const clane u = t[1] + t[2];
+    const clane v = t[1] - t[2];
+    const clane w = t[0] - 0.5 * u;
+    const clane iv{-s3 * v.im, s3 * v.re};  // i * s3 * v
+    store(base, t[0] + u);
+    store(base + cs, w + iv);
+    store(base + 2 * cs, w - iv);
+  } else if constexpr (R == 4) {
+    const clane a = t[0] + t[2];
+    const clane b = t[0] - t[2];
+    const clane c = t[1] + t[3];
+    const clane d = t[1] - t[3];
+    // forward (sign=-1): X1 = b - i d, X3 = b + i d
+    const clane id{-sign * d.im, sign * d.re};  // sign * i * d
+    store(base, a + c);
+    store(base + cs, b + id);
+    store(base + 2 * cs, a - c);
+    store(base + 3 * cs, b - id);
+  } else {
+    for (std::size_t k = 0; k < r; ++k) {
+      clane acc = t[0];
+      for (std::size_t q = 1; q < r; ++q)
+        acc = acc + t[q] * roots[(q * k) % r];
+      store(base + k * cs, acc);
     }
-    case 3: {
-      const double s3 = sign * 0.8660254037844386467637231707529362;  // sqrt(3)/2
-      const cplx u = t[1] + t[2];
-      const cplx v = t[1] - t[2];
-      const cplx w = t[0] - 0.5 * u;
-      const cplx iv{-s3 * v.imag(), s3 * v.real()};  // i * s3 * v
-      base[0] = t[0] + u;
-      base[colstride] = w + iv;
-      base[2 * colstride] = w - iv;
-      return;
-    }
-    case 4: {
-      const cplx a = t[0] + t[2];
-      const cplx b = t[0] - t[2];
-      const cplx c = t[1] + t[3];
-      const cplx d = t[1] - t[3];
-      // forward (sign=-1): X1 = b - i d, X3 = b + i d
-      const cplx id{-sign * d.imag(), sign * d.real()};  // sign * i * d
-      base[0] = a + c;
-      base[colstride] = b + id;
-      base[2 * colstride] = a - c;
-      base[3 * colstride] = b - id;
-      return;
-    }
-    default: {
-      for (std::size_t k = 0; k < r; ++k) {
-        cplx acc = t[0];
-        for (std::size_t q = 1; q < r; ++q) acc += t[q] * roots[(q * k) % r];
-        base[k * colstride] = acc;
-      }
-      return;
-    }
+  }
+}
+
+/// One recursion level of radix R (R = 0: generic radix r). A leaf level
+/// (m == 1) reads its r inputs `istride` points apart from `in`; any
+/// other level combines, in place in `out`, column k2 of the r
+/// sub-transforms (branch q at point q*m + k2) with twiddles
+/// tw[(q-1)*m + k2].
+template <std::size_t R>
+void pass(const double* in, std::size_t istride, double* out, std::size_t m,
+          const cplx* tw, std::size_t r, const cplx* roots, double sign) {
+  constexpr std::size_t kMaxT = R == 0 ? kMaxButterflyRadix + 1 : R;
+  clane t[kMaxT];
+  if (m == 1) {
+    for (std::size_t q = 0; q < r; ++q) t[q] = load(in + q * istride * kPoint);
+    butterfly<R>(out, kPoint, t, r, roots, sign);
+    return;
+  }
+  for (std::size_t k2 = 0; k2 < m; ++k2) {
+    double* col = out + k2 * kPoint;
+    t[0] = load(col);
+    for (std::size_t q = 1; q < r; ++q)
+      t[q] = load(col + q * m * kPoint) * tw[(q - 1) * m + k2];
+    butterfly<R>(col, m * kPoint, t, r, roots, sign);
   }
 }
 
 }  // namespace
 
-void c2c_plan::impl::exec(std::size_t depth, const cplx* in,
-                          std::size_t istride, cplx* out) const {
-  const stage& st = stages[depth];
+void engine::exec(std::size_t depth, const double* in, std::size_t istride,
+                  double* out) const {
+  const stage& st = stages_[depth];
   const std::size_t r = st.r;
   const std::size_t m = st.m;
-  cplx t[kMaxButterflyRadix + 1];
+  if (m > 1)
+    for (std::size_t q = 0; q < r; ++q)
+      exec(depth + 1, in + q * istride * kPoint, istride * r,
+           out + q * m * kPoint);
 
-  if (m == 1) {
-    for (std::size_t q = 0; q < r; ++q) t[q] = in[q * istride];
-    butterfly(out, 1, t, r, roots(r), sign);
-    return;
-  }
-
-  for (std::size_t q = 0; q < r; ++q)
-    exec(depth + 1, in + q * istride, istride * r, out + q * m);
-
-  // Combine: columns k2 are independent, contiguous in memory for each
-  // branch q (out + q*m + k2), and each twiddle stream tw[(q-1)*m + k2] is
-  // contiguous in k2 — so the radix-specialized loops below vectorize
-  // across columns. Per-element arithmetic (operand order and association)
-  // is exactly the pre-restructure butterfly's, keeping results
-  // bit-identical to the per-column implementation.
   const cplx* tw = st.tw.data();
-  const double sg = sign;
+  const cplx* roots = roots_[r].data();
   switch (r) {
-    case 2: {
-      cplx* c0 = out;
-      cplx* c1 = out + m;
-      for (std::size_t k2 = 0; k2 < m; ++k2) {
-        const cplx a = c0[k2];
-        const cplx b = c1[k2] * tw[k2];
-        c0[k2] = a + b;
-        c1[k2] = a - b;
-      }
-      break;
-    }
-    case 3: {
-      cplx* c0 = out;
-      cplx* c1 = out + m;
-      cplx* c2 = out + 2 * m;
-      const cplx* tw1 = tw;
-      const cplx* tw2 = tw + m;
-      const double s3 = sg * 0.8660254037844386467637231707529362;  // sqrt(3)/2
-      for (std::size_t k2 = 0; k2 < m; ++k2) {
-        const cplx t0 = c0[k2];
-        const cplx t1 = c1[k2] * tw1[k2];
-        const cplx t2 = c2[k2] * tw2[k2];
-        const cplx u = t1 + t2;
-        const cplx v = t1 - t2;
-        const cplx w = t0 - 0.5 * u;
-        const cplx iv{-s3 * v.imag(), s3 * v.real()};  // i * s3 * v
-        c0[k2] = t0 + u;
-        c1[k2] = w + iv;
-        c2[k2] = w - iv;
-      }
-      break;
-    }
-    case 4: {
-      cplx* c0 = out;
-      cplx* c1 = out + m;
-      cplx* c2 = out + 2 * m;
-      cplx* c3 = out + 3 * m;
-      const cplx* tw1 = tw;
-      const cplx* tw2 = tw + m;
-      const cplx* tw3 = tw + 2 * m;
-      for (std::size_t k2 = 0; k2 < m; ++k2) {
-        const cplx t0 = c0[k2];
-        const cplx t1 = c1[k2] * tw1[k2];
-        const cplx t2 = c2[k2] * tw2[k2];
-        const cplx t3 = c3[k2] * tw3[k2];
-        const cplx a = t0 + t2;
-        const cplx b = t0 - t2;
-        const cplx c = t1 + t3;
-        const cplx d = t1 - t3;
-        // forward (sign=-1): X1 = b - i d, X3 = b + i d
-        const cplx id{-sg * d.imag(), sg * d.real()};  // sign * i * d
-        c0[k2] = a + c;
-        c1[k2] = b + id;
-        c2[k2] = a - c;
-        c3[k2] = b - id;
-      }
-      break;
-    }
-    default: {
-      for (std::size_t k2 = 0; k2 < m; ++k2) {
-        cplx* col = out + k2;
-        t[0] = col[0];
-        for (std::size_t q = 1; q < r; ++q)
-          t[q] = col[q * m] * tw[(q - 1) * m + k2];
-        butterfly(col, m, t, r, roots(r), sign);
-      }
-      break;
-    }
+    case 2: pass<2>(in, istride, out, m, tw, r, roots, sign_); break;
+    case 3: pass<3>(in, istride, out, m, tw, r, roots, sign_); break;
+    case 4: pass<4>(in, istride, out, m, tw, r, roots, sign_); break;
+    default: pass<0>(in, istride, out, m, tw, r, roots, sign_); break;
   }
 }
 
-void c2c_plan::impl::exec_bluestein(const cplx* in, cplx* out) const {
-  // Scratch comes from the per-thread arena: the two inner plan
-  // executions below are out-of-place (they check nothing out), and even
-  // a nested checkout could not invalidate u/uhat — the arena grows by
-  // adding chunks, never by moving live ones (see fft/scratch.hpp).
+void engine::run_bluestein(const double* in, double* out) const {
+  // u/uhat stay checked out across the inner runs; the arena never moves
+  // a live chunk (see fft/scratch.hpp).
   scratch_arena::scope sc(scratch_arena::tls());
-  cplx* u = sc.alloc(bl_m);
-  cplx* uhat = sc.alloc(bl_m);
-  std::fill_n(u, bl_m, cplx{0.0, 0.0});
-  for (std::size_t j = 0; j < n; ++j) u[j] = in[j] * bl_chirp[j];
-  bl_fwd->execute(u, uhat);
-  for (std::size_t j = 0; j < bl_m; ++j) uhat[j] *= bl_bhat[j];
-  bl_inv->execute(uhat, u);
-  const double inv_m = 1.0 / static_cast<double>(bl_m);
-  for (std::size_t k = 0; k < n; ++k) out[k] = u[k] * inv_m * bl_chirp[k];
+  double* u = alloc_block(sc, bl_m_);
+  double* uhat = alloc_block(sc, bl_m_);
+  for (std::size_t j = 0; j < n_; ++j)
+    store(u + j * kPoint, load(in + j * kPoint) * bl_chirp_[j]);
+  std::fill(u + n_ * kPoint, u + bl_m_ * kPoint, 0.0);
+  bl_fwd_->run(u, uhat);
+  for (std::size_t j = 0; j < bl_m_; ++j)
+    store(uhat + j * kPoint, load(uhat + j * kPoint) * bl_bhat_[j]);
+  bl_inv_->run(uhat, u);
+  const double inv_m = 1.0 / static_cast<double>(bl_m_);
+  for (std::size_t k = 0; k < n_; ++k)
+    store(out + k * kPoint, (inv_m * load(u + k * kPoint)) * bl_chirp_[k]);
 }
 
-void c2c_plan::impl::run(const cplx* in, cplx* out) const {
-  if (n == 0) return;
-  if (n == 1) {
-    out[0] = in[0];
-    return;
-  }
-  if (bluestein) {
-    exec_bluestein(in, out);
-  } else if (in == out) {
-    scratch_arena::scope sc(scratch_arena::tls());
-    cplx* s = sc.alloc(n);
-    std::copy_n(in, n, s);
-    exec(0, s, 1, out);
-  } else {
+void engine::run(const double* in, double* out) const {
+  if (n_ <= 1)
+    std::copy_n(in, n_ * kPoint, out);
+  else if (bluestein_)
+    run_bluestein(in, out);
+  else
     exec(0, in, 1, out);
-  }
-  counters::add_flops(static_cast<std::uint64_t>(flops));
-  counters::add_read(n * sizeof(cplx));
-  counters::add_written(n * sizeof(cplx));
 }
 
-c2c_plan::c2c_plan(std::size_t n, direction dir) : impl_(new impl) {
-  impl_->build(n, dir);
+void engine::execute_many(const cplx* in, std::size_t in_stride, cplx* out,
+                          std::size_t out_stride, std::size_t count) const {
+  if (n_ == 0 || count == 0) return;
+  scratch_arena::scope sc(scratch_arena::tls());
+  double* x = alloc_block(sc, n_);
+  double* y = alloc_block(sc, n_);
+  for (std::size_t b = 0; b < count; b += kLanes) {
+    const std::size_t lanes = std::min(kLanes, count - b);
+    gather(pairs(in + b * in_stride), 2 * in_stride, lanes, n_, x);
+    run(x, y);
+    scatter(y, lanes, n_, pairs(out + b * out_stride), 2 * out_stride);
+  }
+  charge(count);
 }
+
+void engine::charge(std::size_t lines) const {
+  if (n_ <= 1) return;
+  const std::uint64_t bytes = lines * n_ * sizeof(cplx);
+  counters::add_flops(lines * static_cast<std::uint64_t>(flops_));
+  counters::add_read(bytes);
+  counters::add_written(bytes);
+  if (bluestein_) {
+    bl_fwd_->charge(lines);
+    bl_inv_->charge(lines);
+  }
+}
+
+}  // namespace detail
+
+// ---------------------------------------------------------------------------
+// c2c_plan
+// ---------------------------------------------------------------------------
+
+struct c2c_plan::impl {
+  detail::engine e;
+};
+
+c2c_plan::c2c_plan(std::size_t n, direction dir)
+    : impl_(new impl{detail::engine(n, dir)}) {}
 c2c_plan::~c2c_plan() = default;
 c2c_plan::c2c_plan(c2c_plan&&) noexcept = default;
 c2c_plan& c2c_plan::operator=(c2c_plan&&) noexcept = default;
 
-std::size_t c2c_plan::size() const { return impl_->n; }
-direction c2c_plan::dir() const { return impl_->dir_; }
-double c2c_plan::flops_per_execute() const { return impl_->flops; }
+std::size_t c2c_plan::size() const { return impl_->e.size(); }
+direction c2c_plan::dir() const { return impl_->e.dir(); }
+double c2c_plan::flops_per_execute() const { return impl_->e.flops(); }
 
-void c2c_plan::execute(const cplx* in, cplx* out) const { impl_->run(in, out); }
+void c2c_plan::execute(const cplx* in, cplx* out) const {
+  impl_->e.execute_many(in, 0, out, 0, 1);
+}
 
 void c2c_plan::execute_many(const cplx* in, std::size_t in_stride, cplx* out,
                             std::size_t out_stride, std::size_t count) const {
-  for (std::size_t b = 0; b < count; ++b)
-    impl_->run(in + b * in_stride, out + b * out_stride);
+  impl_->e.execute_many(in, in_stride, out, out_stride, count);
 }
 
 }  // namespace pcf::fft

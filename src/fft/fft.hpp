@@ -7,10 +7,15 @@
 // are unnormalized (a forward-inverse round trip scales by n), matching
 // FFTW's convention.
 //
+// Every execution transforms lines in lane-interleaved blocks of four
+// (fft/engine.hpp); each line's result is bit-identical to transforming it
+// alone, so how lines are batched never changes a bit.
+//
 // Plans are immutable after construction and safe to execute concurrently
-// from multiple threads (scratch is per-call / thread-local), which is what
-// lets the pencil kernel embed FFT calls inside threaded blocks exactly as
-// the paper does with FFTW + OpenMP (Section 4.2).
+// from multiple threads (scratch comes from the per-thread scratch_arena,
+// fft/scratch.hpp), which is what lets the pencil kernel embed FFT calls
+// inside threaded blocks exactly as the paper does with FFTW + OpenMP
+// (Section 4.2).
 #pragma once
 
 #include <complex>
@@ -38,11 +43,13 @@ class c2c_plan {
   [[nodiscard]] direction dir() const;
 
   /// Transform `in` into `out` (both length n). `in == out` is allowed
-  /// (an internal scratch copy is made); otherwise they must not overlap.
+  /// (the input is copied into a lane block first); otherwise they must
+  /// not overlap.
   void execute(const cplx* in, cplx* out) const;
 
   /// Transform `count` lines; line b starts at in + b*in_stride
-  /// (out + b*out_stride) and is contiguous. Thread-safe.
+  /// (out + b*out_stride) and is contiguous. Line b's output may overlap
+  /// line b's input only. Thread-safe.
   void execute_many(const cplx* in, std::size_t in_stride, cplx* out,
                     std::size_t out_stride, std::size_t count) const;
 

@@ -2,19 +2,31 @@
 // real transform is computed with one length-n/2 complex transform plus an
 // O(n) unpack. This is the storage layout the paper's kernel exploits when
 // it drops the Nyquist mode (Section 4.4).
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 #include <vector>
 
+#include "fft/engine.hpp"
 #include "fft/fft.hpp"
-#include "fft/scratch.hpp"
 #include "util/check.hpp"
 
 namespace pcf::fft {
 
 namespace {
 
+using detail::alloc_block;
+using detail::clane;
+using detail::conj;
+using detail::engine;
+using detail::gather;
+using detail::kLanes;
+using detail::kPoint;
+using detail::load;
+using detail::pairs;
+using detail::scatter;
 using detail::scratch_arena;
+using detail::store;
 
 /// Unit roots e^{sign i 2 pi k / n} for k = 0..n/2.
 std::vector<cplx> half_roots(std::size_t n, double sign) {
@@ -34,7 +46,7 @@ std::vector<cplx> half_roots(std::size_t n, double sign) {
 
 struct r2c_plan::impl {
   std::size_t n = 0;
-  c2c_plan half;        // length n/2 forward transform
+  engine half;          // length n/2 forward transform
   std::vector<cplx> w;  // e^{-2 pi i k / n}
 
   explicit impl(std::size_t len)
@@ -42,26 +54,39 @@ struct r2c_plan::impl {
     PCF_REQUIRE(len >= 2 && len % 2 == 0, "r2c length must be even");
   }
 
-  void run(const double* in, cplx* out) const {
+  /// X_k = E_k + w^k O_k with E_k = (Z_k + conj(Z_{h-k})) / 2 and
+  /// O_k = -i (Z_k - conj(Z_{h-k})) / 2, for zk = Z_k, zmk = conj(Z_{h-k}).
+  static clane unpack(const clane& zk, const clane& zmk, const cplx& wk) {
+    const clane e = 0.5 * (zk + zmk);
+    const clane d = 0.5 * (zk - zmk);
+    const clane o{d.im, -d.re};  // -i * d
+    return e + o * wk;
+  }
+
+  void run_many(const double* in, std::size_t in_stride, cplx* out,
+                std::size_t out_stride, std::size_t count) const {
     const std::size_t h = n / 2;
-    // z/Z stay checked out across half.execute(); if h is not smooth that
-    // execution nests Bluestein plans on this same thread, so the scratch
-    // must come from the non-moving arena (see fft/scratch.hpp).
+    // The blocks stay checked out across half.run(), which nests
+    // Bluestein scratch on this thread when h is not smooth.
     scratch_arena::scope sc(scratch_arena::tls());
-    cplx* z = sc.alloc(h);
-    cplx* Z = sc.alloc(h);
-    for (std::size_t j = 0; j < h; ++j) z[j] = cplx{in[2 * j], in[2 * j + 1]};
-    half.execute(z, Z);
-    // Unpack: X_k = E_k + w^k O_k with
-    //   E_k = (Z_k + conj(Z_{h-k})) / 2,  O_k = -i (Z_k - conj(Z_{h-k})) / 2.
-    for (std::size_t k = 0; k <= h; ++k) {
-      const cplx zk = Z[k % h];
-      const cplx zmk = std::conj(Z[(h - k) % h]);
-      const cplx e = 0.5 * (zk + zmk);
-      const cplx d = 0.5 * (zk - zmk);
-      const cplx o{d.imag(), -d.real()};  // -i * d
-      out[k] = e + w[k] * o;
+    double* z = alloc_block(sc, h);
+    double* Z = alloc_block(sc, h);
+    double* X = alloc_block(sc, h + 1);
+    for (std::size_t b = 0; b < count; b += kLanes) {
+      const std::size_t lanes = std::min(kLanes, count - b);
+      // Pack z_j = x_{2j} + i x_{2j+1}.
+      gather(in + b * in_stride, in_stride, lanes, h, z);
+      half.run(z, Z);
+      const clane z0 = load(Z);
+      store(X, unpack(z0, conj(z0), w[0]));
+      for (std::size_t k = 1; k < h; ++k)
+        store(X + k * kPoint, unpack(load(Z + k * kPoint),
+                                     conj(load(Z + (h - k) * kPoint)),
+                                     w[k]));
+      store(X + h * kPoint, unpack(z0, conj(z0), w[h]));
+      scatter(X, lanes, h + 1, pairs(out + b * out_stride), 2 * out_stride);
     }
+    half.charge(count);
   }
 };
 
@@ -72,13 +97,12 @@ r2c_plan& r2c_plan::operator=(r2c_plan&&) noexcept = default;
 std::size_t r2c_plan::size() const { return impl_->n; }
 
 void r2c_plan::execute(const double* in, cplx* out) const {
-  impl_->run(in, out);
+  impl_->run_many(in, 0, out, 0, 1);
 }
 
 void r2c_plan::execute_many(const double* in, std::size_t in_stride, cplx* out,
                             std::size_t out_stride, std::size_t count) const {
-  for (std::size_t b = 0; b < count; ++b)
-    impl_->run(in + b * in_stride, out + b * out_stride);
+  impl_->run_many(in, in_stride, out, out_stride, count);
 }
 
 // ---------------------------------------------------------------------------
@@ -87,7 +111,7 @@ void r2c_plan::execute_many(const double* in, std::size_t in_stride, cplx* out,
 
 struct c2r_plan::impl {
   std::size_t n = 0;
-  c2c_plan half;        // length n/2 inverse transform
+  engine half;          // length n/2 inverse transform
   std::vector<cplx> w;  // e^{+2 pi i k / n}
 
   explicit impl(std::size_t len)
@@ -95,26 +119,31 @@ struct c2r_plan::impl {
     PCF_REQUIRE(len >= 2 && len % 2 == 0, "c2r length must be even");
   }
 
-  void run(const cplx* in, double* out) const {
+  void run_many(const cplx* in, std::size_t in_stride, double* out,
+                std::size_t out_stride, std::size_t count) const {
     const std::size_t h = n / 2;
-    // Same nesting hazard as r2c: Z/z live across the half-length execute.
+    // Same nesting hazard as r2c: the blocks live across half.run().
     scratch_arena::scope sc(scratch_arena::tls());
-    cplx* Z = sc.alloc(h);
-    cplx* z = sc.alloc(h);
-    // Repack: Z_k = E_k + i O_k (scale 2 relative to the forward E/O) so
-    // that r2c followed by c2r scales by exactly n, matching FFTW.
-    for (std::size_t k = 0; k < h; ++k) {
-      const cplx xk = in[k];
-      const cplx xmk = std::conj(in[h - k]);
-      const cplx e = xk + xmk;
-      const cplx o = w[k] * (xk - xmk);
-      Z[k] = cplx{e.real() - o.imag(), e.imag() + o.real()};  // e + i*o
+    double* X = alloc_block(sc, h + 1);
+    double* Z = alloc_block(sc, h);
+    double* z = alloc_block(sc, h);
+    for (std::size_t b = 0; b < count; b += kLanes) {
+      const std::size_t lanes = std::min(kLanes, count - b);
+      gather(pairs(in + b * in_stride), 2 * in_stride, lanes, h + 1, X);
+      // Repack: Z_k = E_k + i O_k (scale 2 relative to the forward E/O) so
+      // that r2c followed by c2r scales by exactly n, matching FFTW.
+      for (std::size_t k = 0; k < h; ++k) {
+        const clane xk = load(X + k * kPoint);
+        const clane xmk = conj(load(X + (h - k) * kPoint));
+        const clane e = xk + xmk;
+        const clane o = (xk - xmk) * w[k];
+        store(Z + k * kPoint, clane{e.re - o.im, e.im + o.re});  // e + i*o
+      }
+      half.run(Z, z);
+      // Unpack x_{2j} + i x_{2j+1} = z_j.
+      scatter(z, lanes, h, out + b * out_stride, out_stride);
     }
-    half.execute(Z, z);
-    for (std::size_t j = 0; j < h; ++j) {
-      out[2 * j] = z[j].real();
-      out[2 * j + 1] = z[j].imag();
-    }
+    half.charge(count);
   }
 };
 
@@ -125,13 +154,12 @@ c2r_plan& c2r_plan::operator=(c2r_plan&&) noexcept = default;
 std::size_t c2r_plan::size() const { return impl_->n; }
 
 void c2r_plan::execute(const cplx* in, double* out) const {
-  impl_->run(in, out);
+  impl_->run_many(in, 0, out, 0, 1);
 }
 
 void c2r_plan::execute_many(const cplx* in, std::size_t in_stride, double* out,
                             std::size_t out_stride, std::size_t count) const {
-  for (std::size_t b = 0; b < count; ++b)
-    impl_->run(in + b * in_stride, out + b * out_stride);
+  impl_->run_many(in, in_stride, out, out_stride, count);
 }
 
 }  // namespace pcf::fft

@@ -101,7 +101,9 @@ class atomic_file_writer {
   void commit();
 
   [[nodiscard]] const std::string& target_path() const { return path_; }
-  /// The temp path used for `path` ("<path>.tmp").
+  /// The temp path used for `path` ("<path>.tmp.<pid>"). The owner
+  /// creates it exclusively (O_EXCL), so writers in different processes
+  /// never share a temp file; joiners in the owner's process find it.
   [[nodiscard]] static std::string temp_path(const std::string& path);
 
  private:

@@ -6,6 +6,7 @@
 // boundary captures the complete dynamical state — any divergence is a
 // bug, and the harness names the step and field where it appears.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cmath>
 #include <cstdio>
@@ -53,8 +54,11 @@ std::string rank_suffix(const communicator& world) {
 trace& baseline() {
   static trace t = [] {
     trace b;
+    // Every test case is its own process under ctest; the pid keeps
+    // their baseline files apart.
     const std::string scratch =
-        ::testing::TempDir() + "/pcf_det_restart_baseline";
+        ::testing::TempDir() + "/pcf_det_restart_baseline_" +
+        std::to_string(::getpid());
     run_world(1, [&](communicator& world) {
       channel_dns dns(quickstart_config(), world);
       dns.initialize(kQuickstartPerturbation, kQuickstartSeed);

@@ -1,12 +1,18 @@
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <string>
 
 #include "io/atomic_file.hpp"
 #include "util/check.hpp"
+#include "util/crc.hpp"
 
 namespace {
 
@@ -153,6 +159,62 @@ TEST(AtomicFile, FaultPolicyOnlyFiresOnMatchingPaths) {
     w.commit();
   }
   EXPECT_EQ(slurp(path), "safe");
+  std::remove(path.c_str());
+}
+
+/// Writer w's payload: 256 KiB of a w-specific pattern then its CRC-32.
+std::string payload(int w) {
+  std::string body(256 * 1024, '\0');
+  for (std::size_t i = 0; i < body.size(); ++i)
+    body[i] = static_cast<char>((i * 31 + 7 * static_cast<std::size_t>(w)) &
+                                0xFF);
+  const std::uint32_t crc = pcf::crc32(body.data(), body.size());
+  body.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
+  return body;
+}
+
+TEST(AtomicFile, ConcurrentProcessesLeaveOneCompletePayload) {
+  // Two processes save the same target over and over, in small flushed
+  // pieces so their writes interleave. Each must commit every time, and
+  // the target must end as one writer's whole payload with a valid CRC.
+  const std::string path = tmp_target("af_concurrent.bin");
+  constexpr int kWriters = 2, kRounds = 40;
+  pid_t pids[kWriters];
+  for (int w = 0; w < kWriters; ++w) {
+    pids[w] = ::fork();
+    ASSERT_GE(pids[w], 0);
+    if (pids[w] == 0) {
+      int status = 0;
+      try {
+        const std::string data = payload(w);
+        for (int round = 0; round < kRounds; ++round) {
+          atomic_file_writer out(path);
+          for (std::size_t off = 0; off < data.size(); off += 4096) {
+            out.write(data.data() + off,
+                      std::min<std::size_t>(4096, data.size() - off));
+            out.flush();
+          }
+          out.commit();
+        }
+      } catch (...) {
+        status = 1;
+      }
+      ::_exit(status);
+    }
+  }
+  for (pid_t pid : pids) {
+    int status = -1;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+        << "a writer failed to commit";
+  }
+  const std::string got = slurp(path);
+  ASSERT_EQ(got.size(), payload(0).size());
+  std::uint32_t stored = 0;
+  std::memcpy(&stored, got.data() + got.size() - sizeof(stored),
+              sizeof(stored));
+  EXPECT_EQ(pcf::crc32(got.data(), got.size() - sizeof(stored)), stored);
+  EXPECT_TRUE(got == payload(0) || got == payload(1));
   std::remove(path.c_str());
 }
 
