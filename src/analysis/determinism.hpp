@@ -7,8 +7,9 @@
 // checkpoint format must continue exactly as the uninterrupted run.
 // This header turns that contract into something a test can assert *per
 // step*: a `step_fingerprint` condenses the instantaneous state into the
-// per-section CRC-32s of a gathered-global checkpoint (decomposition-
-// independent: every mode line has one owner, so the gather is exact),
+// per-section CRC-32s of the parallel checkpoint layout (decomposition-
+// independent: every mode line has one owner, and the line CRCs are
+// combined in global order),
 // and `compare` reports the first diverging step *and field* so a failure
 // names where the bit-identity broke, not just that it did.
 #pragma once
@@ -50,17 +51,21 @@ struct trace {
   std::vector<step_fingerprint> steps;
 };
 
-/// Digest the instantaneous state. Collective: writes a gathered-global
-/// checkpoint to `scratch_path` (overwritten per call) and parses the
-/// section CRCs back out of it, so every rank returns the identical
-/// fingerprint regardless of the decomposition.
-[[nodiscard]] step_fingerprint fingerprint(core::channel_dns& dns,
-                                           const std::string& scratch_path);
+/// Digest the instantaneous state from the checkpoint section CRCs
+/// (channel_dns::section_crcs). Collective; writes no file, and every rank
+/// returns the identical fingerprint regardless of the decomposition.
+[[nodiscard]] step_fingerprint fingerprint(core::channel_dns& dns);
+
+/// The former scratch-file form: the step benchmark (stepbench/) still
+/// passes a path. The fingerprint writes no file, so the path is ignored.
+[[nodiscard]] inline step_fingerprint fingerprint(core::channel_dns& dns,
+                                                  const std::string&) {
+  return fingerprint(dns);
+}
 
 /// Fingerprint the current state, then advance `nsteps` steps
 /// fingerprinting after each one: nsteps + 1 rows. Collective.
-[[nodiscard]] trace record_trace(core::channel_dns& dns, int nsteps,
-                                 const std::string& scratch_path);
+[[nodiscard]] trace record_trace(core::channel_dns& dns, int nsteps);
 
 /// One point of disagreement between two traces: the row, the step count
 /// recorded there, and the first field that differs ("rows" for a length

@@ -1,12 +1,25 @@
-// channel_dns checkpointing: per-rank, gathered-global and parallel
-// single-file formats (v2 sectioned layout with per-array CRC-32; v1
-// accepted on load). The byte layout is frozen — tests hash checkpoint
-// files to pin bit-identity of the time advance across refactors.
+// channel_dns checkpointing. One ordered section list describes the
+// evolved state; it drives both on-disk layouts and the decomposition-
+// independent section CRCs the determinism fingerprint digests. Every
+// array sits in a named section with a CRC-32, so a damaged file is
+// refused with an error naming the array. The byte layouts are frozen —
+// tests pin whole-file CRCs.
+//
+//   per-rank  magic, {nx, ny, nz, pa, pb}, time, steps, {nsections, 0},
+//             then every entry as section header + payload, streamed
+//             straight from / into the state arrays.
+//   parallel  magic + 2, {nx, ny, nz}, time, steps, {nsections, 0}, the
+//             section table, then the payloads at fixed offsets in global
+//             order with the distributed fields moved first. Every rank
+//             writes its own mode lines in place (MPI-IO style, O(local)
+//             memory) and the mean rank writes the rank-local tail, so the
+//             file does not depend on the decomposition.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <numeric>
 #include <optional>
 
 #include "core/simulation.hpp"
@@ -18,15 +31,7 @@ namespace pcf::core {
 
 namespace {
 
-// Checkpoint format magics. v1 ("PCFDNS01") wrote raw arrays with no
-// integrity metadata; it is still accepted on load. v2 ("PCFDNS02") writes
-// through the atomic temp+rename writer and wraps every array in a named
-// section with a CRC-32, so corruption is detected per array with a
-// precise error instead of silently seeding a bogus restart. The +1/+2
-// offsets distinguish the global and parallel single-file layouts, as in
-// v1.
-constexpr std::uint64_t kCheckpointMagicV1 = 0x50434644'4e533031ull;
-constexpr std::uint64_t kCheckpointMagic = 0x50434644'4e533032ull;
+constexpr std::uint64_t kCheckpointMagic = 0x50434644'4e533032ull;  // PCFDNS02
 
 struct section_header {
   char name[8];           // zero-padded section name
@@ -36,10 +41,10 @@ struct section_header {
 };
 static_assert(sizeof(section_header) == 24, "section header must be packed");
 
-section_header make_section_header(const char* name, std::uint64_t bytes,
-                                   std::uint32_t crc) {
+section_header make_section_header(const std::string& name,
+                                   std::uint64_t bytes, std::uint32_t crc) {
   section_header h{};
-  std::snprintf(h.name, sizeof(h.name), "%s", name);
+  std::snprintf(h.name, sizeof(h.name), "%s", name.c_str());
   h.bytes = bytes;
   h.crc = crc;
   return h;
@@ -49,483 +54,346 @@ std::string section_name(const section_header& h) {
   return std::string(h.name, strnlen(h.name, sizeof(h.name)));
 }
 
-void write_section(io::atomic_file_writer& os, const char* name,
-                   const void* data, std::size_t bytes) {
-  const section_header h =
-      make_section_header(name, bytes, crc32(data, bytes));
-  os.write(&h, sizeof(h));
-  os.write(data, bytes);
+/// One entry of the ordered state description. A distributed entry is a
+/// mode-line field: `data` holds this rank's modes.nmodes lines of n
+/// coefficients, which the parallel layout stores at their global
+/// offsets. A rank-local entry is an array every rank holds whose
+/// meaningful copy is the mean rank's. The parallel layout stores the
+/// consecutive entries of one `group` as one section: c_U and c_W form
+/// "mean".
+struct section {
+  std::string name;
+  std::string group;
+  bool distributed;
+  char* data;
+  std::size_t bytes;  // this rank's payload
+};
+
+/// The state in per-rank order: c_v, c_om, c_phi, c_U, c_W, then sc<i>
+/// (fluctuation lines) and scm<i> (mean profile) per passive scalar, and
+/// under constant flow rate "frc" = {captured target, last forcing},
+/// staged through `frc`, which starts as this rank's current pair (a load
+/// that does not fill it — a non-mean rank reading a parallel file —
+/// restores that pair unchanged). A default-scenario run has no scenario
+/// sections, so its files stay byte-identical to the pre-scenario format.
+std::vector<section> sections(channel_dns::impl& s, double (&frc)[2]) {
+  auto& st = s.state;
+  auto field = [](std::string name, aligned_buffer<cplx>& b) {
+    return section{name, name, true, reinterpret_cast<char*>(b.data()),
+                   b.size() * sizeof(cplx)};
+  };
+  auto local = [](std::string name, std::string group, double* p,
+                  std::size_t count) {
+    return section{std::move(name), std::move(group), false,
+                   reinterpret_cast<char*>(p), count * sizeof(double)};
+  };
+  std::vector<section> list = {
+      field("c_v", st.c_v), field("c_om", st.c_om), field("c_phi", st.c_phi),
+      local("c_U", "mean", st.c_U.data(), st.c_U.size()),
+      local("c_W", "mean", st.c_W.data(), st.c_W.size())};
+  for (std::size_t i = 0; i < st.scalars.size(); ++i) {
+    auto& sc = st.scalars[i];
+    const std::string scm = "scm" + std::to_string(i);
+    list.push_back(field("sc" + std::to_string(i), sc.c_th));
+    list.push_back(local(scm, scm, sc.c_T.data(), sc.c_T.size()));
+  }
+  frc[0] = s.mean_flow.flow_target();
+  frc[1] = s.mean_flow.last_forcing();
+  if (s.cfg.scenario.constant_flow_rate())
+    list.push_back(local("frc", "frc", frc, 2));
+  return list;
 }
 
-/// Read and verify one v2 section into `data`; every failure mode names
-/// the section so a restart script can tell *which* array is damaged.
-void read_section(std::istream& is, const char* name, void* data,
-                  std::size_t bytes) {
+/// A section of the parallel layout: list entries [first, first + count)
+/// and their global payload size.
+struct file_section {
+  std::string name;
+  bool distributed;
+  std::size_t first, count;
+  std::uint64_t bytes;
+};
+
+std::size_t global_lines(const channel_dns::impl& s) {
+  return s.cfg.nx / 2 * s.cfg.nz;
+}
+
+std::size_t line_bytes(const channel_dns::impl& s) {
+  return s.modes.n * sizeof(cplx);
+}
+
+/// Global line index of local mode m.
+std::size_t global_line(const channel_dns::impl& s, std::size_t m) {
+  return (s.d.xs.offset + m / s.d.zs.count) * s.cfg.nz + s.d.zs.offset +
+         m % s.d.zs.count;
+}
+
+/// The list grouped into parallel-layout sections, in global order.
+std::vector<file_section> file_sections(const channel_dns::impl& s,
+                                        const std::vector<section>& list) {
+  std::vector<file_section> out;
+  for (std::size_t i = 0; i < list.size(); ++i) {
+    const section& e = list[i];
+    const std::uint64_t bytes =
+        e.distributed ? global_lines(s) * line_bytes(s) : e.bytes;
+    if (!out.empty() && out.back().name == e.group) {
+      ++out.back().count;
+      out.back().bytes += bytes;
+    } else {
+      out.push_back({e.group, e.distributed, i, 1, bytes});
+    }
+  }
+  return out;
+}
+
+/// Every section's CRC-32 in global order, computed from the owners' own
+/// bits (collective): each mode line is checksummed by its owner and the
+/// line CRCs are combined in global line order; each rank-local section
+/// is checksummed by the mean rank. The values meet through a bitwise OR
+/// — every slot has exactly one owner — never through a floating-point
+/// sum, which would turn an owned -0.0 into +0.0 whenever a non-owner's
+/// +0.0 joined in.
+std::vector<std::uint32_t> file_crcs(channel_dns::impl& s,
+                                     const std::vector<section>& list,
+                                     const std::vector<file_section>& fs) {
+  const std::size_t lines = global_lines(s), lb = line_bytes(s);
+  std::vector<std::size_t> slot(fs.size() + 1, 0);
+  for (std::size_t t = 0; t < fs.size(); ++t)
+    slot[t + 1] = slot[t] + (fs[t].distributed ? lines : 1);
+  std::vector<std::uint64_t> mine(slot.back(), 0), all(slot.back());
+  for (std::size_t t = 0; t < fs.size(); ++t) {
+    if (fs[t].distributed) {
+      const char* data = list[fs[t].first].data;
+      for (std::size_t m = 0; m < s.modes.nmodes; ++m)
+        mine[slot[t] + global_line(s, m)] = crc32(data + m * lb, lb);
+    } else if (s.modes.has_mean) {
+      std::uint32_t c = crc32_init();
+      for (std::size_t i = fs[t].first; i < fs[t].first + fs[t].count; ++i)
+        c = crc32_update(c, list[i].data, list[i].bytes);
+      mine[slot[t]] = crc32_final(c);
+    }
+  }
+  s.world.allreduce_bor(mine.data(), all.data(), all.size());
+  const crc32_combiner join(lb);
+  std::vector<std::uint32_t> crcs(fs.size());
+  for (std::size_t t = 0; t < fs.size(); ++t) {
+    if (!fs[t].distributed) {
+      crcs[t] = static_cast<std::uint32_t>(all[slot[t]]);
+      continue;
+    }
+    std::uint32_t c = 0;  // CRC of the empty prefix
+    for (std::size_t l = 0; l < lines; ++l)
+      c = join(c, static_cast<std::uint32_t>(all[slot[t] + l]));
+    crcs[t] = c;
+  }
+  return crcs;
+}
+
+/// The parallel layout's file order: global order with the distributed
+/// sections moved first (a stable partition).
+std::vector<std::size_t> parallel_order(const std::vector<file_section>& fs) {
+  std::vector<std::size_t> order(fs.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_partition(order.begin(), order.end(),
+                        [&](std::size_t t) { return fs[t].distributed; });
+  return order;
+}
+
+/// Visit every payload piece of the parallel layout this rank owns as
+/// (file offset, state bytes): each local mode line of a distributed
+/// section at its global offset and, on the mean rank, the entries of the
+/// rank-local sections back to back. `off` is the first payload byte.
+template <class Fn>
+void for_each_owned_piece(const channel_dns::impl& s,
+                          const std::vector<section>& list,
+                          const std::vector<file_section>& fs,
+                          std::uint64_t off, Fn&& fn) {
+  const std::size_t lb = line_bytes(s);
+  for (std::size_t t : parallel_order(fs)) {
+    if (fs[t].distributed) {
+      char* data = list[fs[t].first].data;
+      for (std::size_t m = 0; m < s.modes.nmodes; ++m)
+        fn(off + global_line(s, m) * lb, data + m * lb, lb);
+    } else if (s.modes.has_mean) {
+      std::uint64_t at = off;
+      for (std::size_t i = fs[t].first; i < fs[t].first + fs[t].count; ++i) {
+        fn(at, list[i].data, list[i].bytes);
+        at += list[i].bytes;
+      }
+    }
+    off += fs[t].bytes;
+  }
+}
+
+/// What distinguishes the two layouts' headers; `what` prefixes errors.
+struct layout {
+  const char* what;
+  std::uint64_t magic;
+  std::vector<std::uint64_t> dims;
+
+  /// First payload byte of a parallel file: past the header (magic,
+  /// dims, time, steps, {nsections, 0}) and the section table.
+  [[nodiscard]] std::uint64_t payload_offset(std::size_t nsections) const {
+    return sizeof(magic) + dims.size() * sizeof(std::uint64_t) +
+           sizeof(double) + sizeof(long) + 2 * sizeof(std::uint32_t) +
+           nsections * sizeof(section_header);
+  }
+};
+
+layout make_layout(const channel_dns::impl& s, bool parallel) {
+  layout lay{parallel ? "parallel checkpoint" : "checkpoint",
+             kCheckpointMagic + (parallel ? 2 : 0),
+             {s.cfg.nx, static_cast<std::uint64_t>(s.cfg.ny), s.cfg.nz}};
+  if (!parallel)
+    lay.dims.insert(lay.dims.end(), {static_cast<std::uint64_t>(s.d.pa),
+                                     static_cast<std::uint64_t>(s.d.pb)});
+  return lay;
+}
+
+void write_header(io::atomic_file_writer& os, const layout& lay,
+                  const channel_dns::impl& s, std::size_t nsections) {
+  os.write(&lay.magic, sizeof(lay.magic));
+  os.write(lay.dims.data(), lay.dims.size() * sizeof(std::uint64_t));
+  os.write(&s.time, sizeof(s.time));
+  os.write(&s.steps, sizeof(s.steps));
+  const std::uint32_t meta[2] = {static_cast<std::uint32_t>(nsections), 0};
+  os.write(meta, sizeof(meta));
+}
+
+/// Read and check the header; restores time and step count.
+void read_header(std::istream& is, const layout& lay, channel_dns::impl& s,
+                 std::size_t nsections) {
+  const std::string what = lay.what;
+  std::uint64_t magic = 0;
+  is.read(reinterpret_cast<char*>(&magic), sizeof(magic));
+  PCF_REQUIRE(magic == lay.magic, "not a " + what + " file");
+  std::vector<std::uint64_t> dims(lay.dims.size());
+  is.read(reinterpret_cast<char*>(dims.data()),
+          static_cast<std::streamsize>(dims.size() * sizeof(std::uint64_t)));
+  PCF_REQUIRE(!is.fail(), what + " header truncated");
+  PCF_REQUIRE(dims == lay.dims, what + " grid/decomposition mismatch");
+  std::uint32_t meta[2] = {0, 0};
+  is.read(reinterpret_cast<char*>(&s.time), sizeof(s.time));
+  is.read(reinterpret_cast<char*>(&s.steps), sizeof(s.steps));
+  is.read(reinterpret_cast<char*>(meta), sizeof(meta));
+  PCF_REQUIRE(!is.fail() && meta[0] == nsections,
+              what + " section count mismatch");
+}
+
+void write_section(io::atomic_file_writer& os, const section& e) {
+  const section_header h =
+      make_section_header(e.name, e.bytes, crc32(e.data, e.bytes));
+  os.write(&h, sizeof(h));
+  os.write(e.data, e.bytes);
+}
+
+/// Read and verify one section into its state array; every failure mode
+/// names the section so a restart script can tell *which* array is
+/// damaged.
+void read_section(std::istream& is, const section& e) {
+  const std::string tag = "checkpoint section '" + e.name + "'";
   section_header h{};
   is.read(reinterpret_cast<char*>(&h), sizeof(h));
-  PCF_REQUIRE(!is.fail() && is.gcount() == sizeof(h),
-              std::string("checkpoint section '") + name +
-                  "' header truncated");
-  PCF_REQUIRE(section_name(h) == name,
+  PCF_REQUIRE(!is.fail(), tag + " header truncated");
+  PCF_REQUIRE(section_name(h) == e.name,
               "checkpoint section '" + section_name(h) +
-                  "' unexpected (expected '" + name + "')");
-  PCF_REQUIRE(h.bytes == bytes, std::string("checkpoint section '") + name +
-                                    "' has wrong size");
-  is.read(static_cast<char*>(data), static_cast<std::streamsize>(bytes));
-  PCF_REQUIRE(!is.fail() &&
-                  is.gcount() == static_cast<std::streamsize>(bytes),
-              std::string("checkpoint section '") + name + "' truncated");
-  PCF_REQUIRE(crc32(data, bytes) == h.crc,
-              std::string("checkpoint section '") + name + "' CRC mismatch");
+                  "' unexpected (expected '" + e.name + "')");
+  PCF_REQUIRE(h.bytes == e.bytes, tag + " has wrong size");
+  is.read(e.data, static_cast<std::streamsize>(e.bytes));
+  PCF_REQUIRE(!is.fail(), tag + " truncated");
+  PCF_REQUIRE(crc32(e.data, e.bytes) == h.crc, tag + " CRC mismatch");
 }
 
-/// A well-formed checkpoint ends exactly at its last section: trailing
-/// bytes mean a concatenated/overlong file and are rejected.
-void require_eof(std::istream& is) {
-  PCF_REQUIRE(is.peek() == std::char_traits<char>::eof(),
-              "trailing garbage after checkpoint payload");
-}
-
-/// Scenario sections ride after the frozen default layout: "sc<i>" /
-/// "scm<i>" per passive scalar (fluctuation lines + mean profile) and a
-/// trailing "frc" pair {captured target, last forcing} under constant
-/// flow rate. A default-scenario run writes none of them, so its files
-/// stay byte-identical to the pre-scenario format.
-std::string sc_name(const char* stem, std::size_t i) {
-  return std::string(stem) + std::to_string(i);
+/// After any load: zero the nonlinear histories, restore the flow-rate
+/// forcing pair, and drop the factored solvers. The restored run may step
+/// with a dt the caller changes before the first step (the runner's
+/// reduced-dt retry does), so the bands are rebuilt against the dt
+/// actually in effect.
+void finish_load(channel_dns::impl& s, const double (&frc)[2]) {
+  auto& st = s.state;
+  st.hv_prev.fill(cplx{0, 0});
+  st.hg_prev.fill(cplx{0, 0});
+  std::fill(st.hU_prev.begin(), st.hU_prev.end(), 0.0);
+  std::fill(st.hW_prev.begin(), st.hW_prev.end(), 0.0);
+  for (auto& sc : st.scalars) {
+    sc.hth_prev.fill(cplx{0, 0});
+    std::fill(sc.hT_prev.begin(), sc.hT_prev.end(), 0.0);
+  }
+  if (s.cfg.scenario.constant_flow_rate())
+    s.mean_flow.restore_forcing(frc[0], frc[1]);
+  s.invalidate_solvers();
 }
 
 }  // namespace
 
 void channel_dns::save_checkpoint(const std::string& path) const {
   auto& s = *impl_;
-  auto& st = s.state;
+  double frc[2];
+  const auto list = sections(s, frc);
   io::atomic_file_writer os(path);
-  os.write(&kCheckpointMagic, sizeof(kCheckpointMagic));
-  const std::uint64_t dims[5] = {s.cfg.nx, static_cast<std::uint64_t>(s.cfg.ny),
-                                 s.cfg.nz, static_cast<std::uint64_t>(s.d.pa),
-                                 static_cast<std::uint64_t>(s.d.pb)};
-  os.write(dims, sizeof(dims));
-  os.write(&s.time, sizeof(s.time));
-  os.write(&s.steps, sizeof(s.steps));
-  const std::size_t nsc = st.scalars.size();
-  const bool fr = s.cfg.scenario.constant_flow_rate();
-  const std::uint32_t meta[2] = {
-      static_cast<std::uint32_t>(5 + 2 * nsc + (fr ? 1 : 0)), 0};
-  os.write(meta, sizeof(meta));
-  write_section(os, "c_v", st.c_v.data(), st.c_v.size() * sizeof(cplx));
-  write_section(os, "c_om", st.c_om.data(), st.c_om.size() * sizeof(cplx));
-  write_section(os, "c_phi", st.c_phi.data(), st.c_phi.size() * sizeof(cplx));
-  write_section(os, "c_U", st.c_U.data(), st.c_U.size() * sizeof(double));
-  write_section(os, "c_W", st.c_W.data(), st.c_W.size() * sizeof(double));
-  for (std::size_t i = 0; i < nsc; ++i) {
-    const auto& sc = st.scalars[i];
-    write_section(os, sc_name("sc", i).c_str(), sc.c_th.data(),
-                  sc.c_th.size() * sizeof(cplx));
-    write_section(os, sc_name("scm", i).c_str(), sc.c_T.data(),
-                  sc.c_T.size() * sizeof(double));
-  }
-  if (fr) {
-    const double frc[2] = {s.mean_flow.flow_target(),
-                           s.mean_flow.last_forcing()};
-    write_section(os, "frc", frc, sizeof(frc));
-  }
+  write_header(os, make_layout(s, false), s, list.size());
+  for (const auto& e : list) write_section(os, e);
   os.commit();
 }
 
 void channel_dns::load_checkpoint(const std::string& path) {
   auto& s = *impl_;
   s.ensure_resumed();
-  auto& st = s.state;
+  double frc[2];
+  const auto list = sections(s, frc);
   std::ifstream is(path, std::ios::binary);
   PCF_REQUIRE(is.good(), "cannot open checkpoint file for reading: " + path);
-  auto get = [&](void* p, std::size_t bytes) {
-    is.read(static_cast<char*>(p), static_cast<std::streamsize>(bytes));
-  };
-  std::uint64_t magic = 0;
-  get(&magic, sizeof(magic));
-  PCF_REQUIRE(magic == kCheckpointMagic || magic == kCheckpointMagicV1,
-              "not a checkpoint file");
-  std::uint64_t dims[5];
-  get(dims, sizeof(dims));
-  PCF_REQUIRE(!is.fail(), "checkpoint header truncated");
-  PCF_REQUIRE(dims[0] == s.cfg.nx &&
-                  dims[1] == static_cast<std::uint64_t>(s.cfg.ny) &&
-                  dims[2] == s.cfg.nz &&
-                  dims[3] == static_cast<std::uint64_t>(s.d.pa) &&
-                  dims[4] == static_cast<std::uint64_t>(s.d.pb),
-              "checkpoint grid/decomposition mismatch");
-  get(&s.time, sizeof(s.time));
-  get(&s.steps, sizeof(s.steps));
-  if (magic == kCheckpointMagicV1) {
-    get(st.c_v.data(), st.c_v.size() * sizeof(cplx));
-    get(st.c_om.data(), st.c_om.size() * sizeof(cplx));
-    get(st.c_phi.data(), st.c_phi.size() * sizeof(cplx));
-    get(st.c_U.data(), st.c_U.size() * sizeof(double));
-    get(st.c_W.data(), st.c_W.size() * sizeof(double));
-    PCF_REQUIRE(is.good(), "checkpoint read failed");
-  } else {
-    const std::size_t nsc = st.scalars.size();
-    const bool fr = s.cfg.scenario.constant_flow_rate();
-    std::uint32_t meta[2] = {0, 0};
-    get(meta, sizeof(meta));
-    PCF_REQUIRE(!is.fail() && meta[0] == 5 + 2 * nsc + (fr ? 1u : 0u),
-                "checkpoint section count mismatch");
-    read_section(is, "c_v", st.c_v.data(), st.c_v.size() * sizeof(cplx));
-    read_section(is, "c_om", st.c_om.data(), st.c_om.size() * sizeof(cplx));
-    read_section(is, "c_phi", st.c_phi.data(),
-                 st.c_phi.size() * sizeof(cplx));
-    read_section(is, "c_U", st.c_U.data(), st.c_U.size() * sizeof(double));
-    read_section(is, "c_W", st.c_W.data(), st.c_W.size() * sizeof(double));
-    for (std::size_t i = 0; i < nsc; ++i) {
-      auto& sc = st.scalars[i];
-      read_section(is, sc_name("sc", i).c_str(), sc.c_th.data(),
-                   sc.c_th.size() * sizeof(cplx));
-      read_section(is, sc_name("scm", i).c_str(), sc.c_T.data(),
-                   sc.c_T.size() * sizeof(double));
-    }
-    if (fr) {
-      double frc[2] = {0.0, 0.0};
-      read_section(is, "frc", frc, sizeof(frc));
-      s.mean_flow.restore_forcing(frc[0], frc[1]);
-    }
-  }
-  require_eof(is);
-  st.hv_prev.fill(cplx{0, 0});
-  st.hg_prev.fill(cplx{0, 0});
-  std::fill(st.hU_prev.begin(), st.hU_prev.end(), 0.0);
-  std::fill(st.hW_prev.begin(), st.hW_prev.end(), 0.0);
-  for (auto& sc : st.scalars) {
-    sc.hth_prev.fill(cplx{0, 0});
-    std::fill(sc.hT_prev.begin(), sc.hT_prev.end(), 0.0);
-  }
-  // The restored run may step with a dt the caller changes before the first
-  // step (the runner's reduced-dt retry does); drop the factored bands so
-  // they are rebuilt against the dt actually in effect.
-  s.invalidate_solvers();
+  read_header(is, make_layout(s, false), s, list.size());
+  for (const auto& e : list) read_section(is, e);
+  // A well-formed checkpoint ends exactly at its last section: trailing
+  // bytes mean a concatenated/overlong file.
+  PCF_REQUIRE(is.peek() == std::char_traits<char>::eof(),
+              "trailing garbage after checkpoint payload");
+  finish_load(s, frc);
 }
 
-void channel_dns::save_checkpoint_global(const std::string& path) {
+std::vector<section_crc> channel_dns::section_crcs() const {
   auto& s = *impl_;
-  auto& st = s.state;
-  const std::size_t n = s.modes.n;
-  const std::size_t modes_g = s.cfg.nx / 2 * s.cfg.nz;
-  const std::size_t per = modes_g * n;
-  const std::size_t nsc = st.scalars.size();
-  const bool fr = s.cfg.scenario.constant_flow_rate();
-  std::vector<cplx> local((3 + nsc) * per, cplx{0, 0}),
-      global((3 + nsc) * per);
-  for (std::size_t m = 0; m < s.modes.nmodes; ++m) {
-    const std::size_t jx = s.d.xs.offset + m / s.d.zs.count;
-    const std::size_t jz = s.d.zs.offset + m % s.d.zs.count;
-    const std::size_t g = (jx * s.cfg.nz + jz) * n;
-    std::copy_n(s.line(st.c_v, m), n, local.data() + g);
-    std::copy_n(s.line(st.c_om, m), n, local.data() + per + g);
-    std::copy_n(s.line(st.c_phi, m), n, local.data() + 2 * per + g);
-    for (std::size_t i = 0; i < nsc; ++i)
-      std::copy_n(s.line(st.scalars[i].c_th, m), n,
-                  local.data() + (3 + i) * per + g);
-  }
-  // Each slot has exactly one owner, so gather by bitwise OR over the
-  // raw words: it reproduces the owner's bits exactly. A floating-point
-  // sum would turn an owned -0.0 into +0.0 whenever a non-owner's +0.0
-  // joins in, making the gathered bytes depend on the decomposition.
-  s.world.allreduce_bor(reinterpret_cast<const std::uint64_t*>(local.data()),
-                        reinterpret_cast<std::uint64_t*>(global.data()),
-                        2 * local.size());
-  // The mean block gathers U, W, every scalar's mean profile and (under
-  // constant flow rate) the {target, last forcing} pair, all owned by the
-  // mean rank.
-  const std::size_t mean_elems = (2 + nsc) * n + (fr ? 2 : 0);
-  std::vector<double> mean_l(mean_elems, 0.0), mean_g(mean_elems);
-  if (s.modes.has_mean) {
-    std::copy(st.c_U.begin(), st.c_U.end(), mean_l.begin());
-    std::copy(st.c_W.begin(), st.c_W.end(),
-              mean_l.begin() + static_cast<std::ptrdiff_t>(n));
-    for (std::size_t i = 0; i < nsc; ++i)
-      std::copy(st.scalars[i].c_T.begin(), st.scalars[i].c_T.end(),
-                mean_l.begin() + static_cast<std::ptrdiff_t>((2 + i) * n));
-    if (fr) {
-      mean_l[(2 + nsc) * n] = s.mean_flow.flow_target();
-      mean_l[(2 + nsc) * n + 1] = s.mean_flow.last_forcing();
-    }
-  }
-  s.world.allreduce_bor(reinterpret_cast<const std::uint64_t*>(mean_l.data()),
-                        reinterpret_cast<std::uint64_t*>(mean_g.data()),
-                        mean_l.size());
-  if (s.world.rank() == 0) {
-    io::atomic_file_writer os(path);
-    const std::uint64_t magic = kCheckpointMagic + 1;
-    const std::uint64_t dims[3] = {
-        s.cfg.nx, static_cast<std::uint64_t>(s.cfg.ny), s.cfg.nz};
-    os.write(&magic, sizeof(magic));
-    os.write(dims, sizeof(dims));
-    os.write(&s.time, sizeof(s.time));
-    os.write(&s.steps, sizeof(s.steps));
-    const std::uint32_t meta[2] = {
-        static_cast<std::uint32_t>(4 + 2 * nsc + (fr ? 1 : 0)), 0};
-    os.write(meta, sizeof(meta));
-    write_section(os, "c_v", global.data(), per * sizeof(cplx));
-    write_section(os, "c_om", global.data() + per, per * sizeof(cplx));
-    write_section(os, "c_phi", global.data() + 2 * per, per * sizeof(cplx));
-    write_section(os, "mean", mean_g.data(), 2 * n * sizeof(double));
-    for (std::size_t i = 0; i < nsc; ++i) {
-      write_section(os, sc_name("sc", i).c_str(),
-                    global.data() + (3 + i) * per, per * sizeof(cplx));
-      write_section(os, sc_name("scm", i).c_str(),
-                    mean_g.data() + (2 + i) * n, n * sizeof(double));
-    }
-    if (fr)
-      write_section(os, "frc", mean_g.data() + (2 + nsc) * n,
-                    2 * sizeof(double));
-    os.commit();
-  }
-  s.world.barrier();
+  double frc[2];
+  const auto list = sections(s, frc);
+  const auto fs = file_sections(s, list);
+  const auto crcs = file_crcs(s, list, fs);
+  std::vector<section_crc> out;
+  for (std::size_t t = 0; t < fs.size(); ++t)
+    out.push_back({fs[t].name, crcs[t]});
+  return out;
 }
-
-void channel_dns::load_checkpoint_global(const std::string& path) {
-  auto& s = *impl_;
-  s.ensure_resumed();
-  auto& st = s.state;
-  const std::size_t n = s.modes.n;
-  const std::size_t modes_g = s.cfg.nx / 2 * s.cfg.nz;
-  const std::size_t per = modes_g * n;
-  const std::size_t nsc = st.scalars.size();
-  const bool fr = s.cfg.scenario.constant_flow_rate();
-  std::vector<cplx> global((3 + nsc) * per);
-  std::vector<double> mean_g((2 + nsc) * n + (fr ? 2 : 0));
-  // Rank 0 reads and verifies; success is agreed on *before* any payload
-  // broadcast so a corrupt file makes every rank throw instead of leaving
-  // ranks 1..P-1 blocked in a collective.
-  int ok = 1;
-  std::string err;
-  if (s.world.rank() == 0) {
-    try {
-      std::ifstream is(path, std::ios::binary);
-      PCF_REQUIRE(is.good(),
-                  "cannot open global checkpoint for reading: " + path);
-      std::uint64_t magic = 0, dims[3];
-      is.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-      PCF_REQUIRE(magic == kCheckpointMagic + 1 ||
-                      magic == kCheckpointMagicV1 + 1,
-                  "not a global checkpoint");
-      is.read(reinterpret_cast<char*>(dims), sizeof(dims));
-      PCF_REQUIRE(!is.fail(), "global checkpoint header truncated");
-      PCF_REQUIRE(dims[0] == s.cfg.nx &&
-                      dims[1] == static_cast<std::uint64_t>(s.cfg.ny) &&
-                      dims[2] == s.cfg.nz,
-                  "global checkpoint grid mismatch");
-      is.read(reinterpret_cast<char*>(&s.time), sizeof(s.time));
-      is.read(reinterpret_cast<char*>(&s.steps), sizeof(s.steps));
-      if (magic == kCheckpointMagicV1 + 1) {
-        PCF_REQUIRE(nsc == 0 && !fr,
-                    "v1 global checkpoint has no scenario sections");
-        is.read(reinterpret_cast<char*>(global.data()),
-                static_cast<std::streamsize>(global.size() * sizeof(cplx)));
-        is.read(reinterpret_cast<char*>(mean_g.data()),
-                static_cast<std::streamsize>(mean_g.size() * sizeof(double)));
-        PCF_REQUIRE(is.good(), "global checkpoint read failed");
-      } else {
-        std::uint32_t meta[2] = {0, 0};
-        is.read(reinterpret_cast<char*>(meta), sizeof(meta));
-        PCF_REQUIRE(!is.fail() && meta[0] == 4 + 2 * nsc + (fr ? 1u : 0u),
-                    "global checkpoint section count mismatch");
-        read_section(is, "c_v", global.data(), per * sizeof(cplx));
-        read_section(is, "c_om", global.data() + per, per * sizeof(cplx));
-        read_section(is, "c_phi", global.data() + 2 * per,
-                     per * sizeof(cplx));
-        read_section(is, "mean", mean_g.data(), 2 * n * sizeof(double));
-        for (std::size_t i = 0; i < nsc; ++i) {
-          read_section(is, sc_name("sc", i).c_str(),
-                       global.data() + (3 + i) * per, per * sizeof(cplx));
-          read_section(is, sc_name("scm", i).c_str(),
-                       mean_g.data() + (2 + i) * n, n * sizeof(double));
-        }
-        if (fr)
-          read_section(is, "frc", mean_g.data() + (2 + nsc) * n,
-                       2 * sizeof(double));
-      }
-      require_eof(is);
-    } catch (const std::exception& e) {
-      ok = 0;
-      err = e.what();
-    }
-  }
-  s.world.bcast(&ok, 1, 0);
-  if (!ok) {
-    std::uint64_t len = err.size();
-    s.world.bcast(&len, 1, 0);
-    err.resize(len);
-    if (len > 0) s.world.bcast(err.data(), len, 0);
-    throw precondition_error("global checkpoint load failed: " + err);
-  }
-  s.world.bcast(&s.time, 1, 0);
-  s.world.bcast(&s.steps, 1, 0);
-  s.world.bcast(global.data(), global.size(), 0);
-  s.world.bcast(mean_g.data(), mean_g.size(), 0);
-  for (std::size_t m = 0; m < s.modes.nmodes; ++m) {
-    const std::size_t jx = s.d.xs.offset + m / s.d.zs.count;
-    const std::size_t jz = s.d.zs.offset + m % s.d.zs.count;
-    const std::size_t g = (jx * s.cfg.nz + jz) * n;
-    std::copy_n(global.data() + g, n, s.line(st.c_v, m));
-    std::copy_n(global.data() + per + g, n, s.line(st.c_om, m));
-    std::copy_n(global.data() + 2 * per + g, n, s.line(st.c_phi, m));
-    for (std::size_t i = 0; i < nsc; ++i)
-      std::copy_n(global.data() + (3 + i) * per + g, n,
-                  s.line(st.scalars[i].c_th, m));
-  }
-  if (s.modes.has_mean) {
-    std::copy_n(mean_g.data(), n, st.c_U.begin());
-    std::copy_n(mean_g.data() + n, n, st.c_W.begin());
-    for (std::size_t i = 0; i < nsc; ++i)
-      std::copy_n(mean_g.data() + (2 + i) * n, n,
-                  st.scalars[i].c_T.begin());
-  }
-  if (fr)
-    s.mean_flow.restore_forcing(mean_g[(2 + nsc) * n],
-                                mean_g[(2 + nsc) * n + 1]);
-  st.hv_prev.fill(cplx{0, 0});
-  st.hg_prev.fill(cplx{0, 0});
-  std::fill(st.hU_prev.begin(), st.hU_prev.end(), 0.0);
-  std::fill(st.hW_prev.begin(), st.hW_prev.end(), 0.0);
-  for (auto& sc : st.scalars) {
-    sc.hth_prev.fill(cplx{0, 0});
-    std::fill(sc.hT_prev.begin(), sc.hT_prev.end(), 0.0);
-  }
-  s.invalidate_solvers();
-}
-
-namespace {
-
-// Parallel single-file v2 layout: fixed header, a section table (c_v,
-// c_om, c_phi, one "sc<i>" per scalar, mean, one "scm<i>" per scalar,
-// "frc" under constant flow rate — 4 entries for the default scenario),
-// then the payloads at fixed offsets so every rank can write its modes in
-// place, MPI-IO style. The distributed field payloads come first in table
-// order; the rank-0-owned mean/scalar-mean/forcing blocks form the tail.
-constexpr std::size_t kParallelV1Header =
-    sizeof(std::uint64_t) * 4 + sizeof(double) + sizeof(long);
-constexpr std::size_t kParallelV2Header =
-    kParallelV1Header + 2 * sizeof(std::uint32_t);
-
-std::size_t parallel_payload_base(std::size_t nsections) {
-  return kParallelV2Header + nsections * sizeof(section_header);
-}
-
-}  // namespace
 
 void channel_dns::save_checkpoint_parallel(const std::string& path) {
   auto& s = *impl_;
-  auto& st = s.state;
-  const std::size_t n = s.modes.n;
-  const std::size_t modes_g = s.cfg.nx / 2 * s.cfg.nz;
-  const std::size_t per = modes_g * n;  // elements per field section
-  const std::size_t line_bytes = n * sizeof(cplx);
-  const std::size_t nsc = st.scalars.size();
-  const bool fr = s.cfg.scenario.constant_flow_rate();
-  const std::size_t nfields = 3 + nsc;
-  const std::size_t nsections = nfields + 1 + nsc + (fr ? 1 : 0);
-  const std::size_t payload = parallel_payload_base(nsections);
-  const std::size_t tail = payload + nfields * per * sizeof(cplx);
-  const std::size_t mean_elems = (2 + nsc) * n + (fr ? 2 : 0);
-  std::vector<double> mean_l(mean_elems, 0.0), mean_g(mean_elems);
-  if (s.modes.has_mean) {
-    std::copy(st.c_U.begin(), st.c_U.end(), mean_l.begin());
-    std::copy(st.c_W.begin(), st.c_W.end(),
-              mean_l.begin() + static_cast<std::ptrdiff_t>(n));
-    for (std::size_t i = 0; i < nsc; ++i)
-      std::copy(st.scalars[i].c_T.begin(), st.scalars[i].c_T.end(),
-                mean_l.begin() + static_cast<std::ptrdiff_t>((2 + i) * n));
-    if (fr) {
-      mean_l[(2 + nsc) * n] = s.mean_flow.flow_target();
-      mean_l[(2 + nsc) * n + 1] = s.mean_flow.last_forcing();
-    }
-  }
-  // Bitwise-OR gather, not a sum: the mean profile is owned by a single
-  // rank and a sum would flip any -0.0 coefficient to +0.0 (see
-  // save_checkpoint_global).
-  s.world.allreduce_bor(reinterpret_cast<const std::uint64_t*>(mean_l.data()),
-                        reinterpret_cast<std::uint64_t*>(mean_g.data()),
-                        mean_l.size());
-  // Section CRCs must come from the in-memory state (reading the file back
-  // would checksum whatever a fault left there). Each rank checksums its
-  // own mode lines; rank 0 stitches them together in global offset order
-  // with crc32_combine. The u32 values ride in doubles through the
-  // existing sum reduction — each line has exactly one owner.
-  std::vector<const aligned_buffer<cplx>*> fields = {&st.c_v, &st.c_om,
-                                                     &st.c_phi};
-  for (std::size_t i = 0; i < nsc; ++i)
-    fields.push_back(&st.scalars[i].c_th);
-  std::vector<double> crc_l(nfields * modes_g, 0.0),
-      crc_g(nfields * modes_g);
-  for (std::size_t m = 0; m < s.modes.nmodes; ++m) {
-    const std::size_t jx = s.d.xs.offset + m / s.d.zs.count;
-    const std::size_t jz = s.d.zs.offset + m % s.d.zs.count;
-    const std::size_t line = jx * s.cfg.nz + jz;
-    for (std::size_t f = 0; f < nfields; ++f)
-      crc_l[f * modes_g + line] = static_cast<double>(
-          crc32(fields[f]->data() + m * n, line_bytes));
-  }
-  s.world.allreduce_sum(crc_l.data(), crc_g.data(), crc_l.size());
-
+  double frc[2];
+  const auto list = sections(s, frc);
+  const auto fs = file_sections(s, list);
+  // Section CRCs come from the in-memory state: reading the file back
+  // would checksum whatever a fault left there.
+  const auto crcs = file_crcs(s, list, fs);
+  const auto order = parallel_order(fs);
+  const layout lay = make_layout(s, true);
   std::optional<io::atomic_file_writer> owner;
   if (s.world.rank() == 0) {
     owner.emplace(path);
-    const std::uint64_t magic = kCheckpointMagic + 2;
-    const std::uint64_t dims[3] = {
-        s.cfg.nx, static_cast<std::uint64_t>(s.cfg.ny), s.cfg.nz};
-    owner->write(&magic, sizeof(magic));
-    owner->write(dims, sizeof(dims));
-    owner->write(&s.time, sizeof(s.time));
-    owner->write(&s.steps, sizeof(s.steps));
-    const std::uint32_t meta[2] = {static_cast<std::uint32_t>(nsections), 0};
-    owner->write(meta, sizeof(meta));
-    std::vector<std::string> names = {"c_v", "c_om", "c_phi"};
-    for (std::size_t i = 0; i < nsc; ++i) names.push_back(sc_name("sc", i));
-    for (std::size_t f = 0; f < nfields; ++f) {
-      std::uint32_t crc = 0;  // crc32 of the empty prefix
-      for (std::size_t line = 0; line < modes_g; ++line)
-        crc = crc32_combine(
-            crc, static_cast<std::uint32_t>(crc_g[f * modes_g + line]),
-            line_bytes);
+    write_header(*owner, lay, s, fs.size());
+    for (std::size_t t : order) {
       const section_header h =
-          make_section_header(names[f].c_str(), per * sizeof(cplx), crc);
+          make_section_header(fs[t].name, fs[t].bytes, crcs[t]);
       owner->write(&h, sizeof(h));
     }
-    const section_header hm = make_section_header(
-        "mean", 2 * n * sizeof(double),
-        crc32(mean_g.data(), 2 * n * sizeof(double)));
-    owner->write(&hm, sizeof(hm));
-    for (std::size_t i = 0; i < nsc; ++i) {
-      const section_header hs = make_section_header(
-          sc_name("scm", i).c_str(), n * sizeof(double),
-          crc32(mean_g.data() + (2 + i) * n, n * sizeof(double)));
-      owner->write(&hs, sizeof(hs));
-    }
-    if (fr) {
-      const section_header hf = make_section_header(
-          "frc", 2 * sizeof(double),
-          crc32(mean_g.data() + (2 + nsc) * n, 2 * sizeof(double)));
-      owner->write(&hf, sizeof(hf));
-    }
-    // The means live at the tail; writing them first also sizes the file.
-    owner->write_at(tail, mean_g.data(), mean_g.size() * sizeof(double));
     owner->flush();
   }
   s.world.barrier();
   {
     std::optional<io::atomic_file_writer> joiner;
     io::atomic_file_writer& os =
-        s.world.rank() == 0 ? *owner
-                            : joiner.emplace(io::atomic_file_writer::join(path));
-    for (std::size_t m = 0; m < s.modes.nmodes; ++m) {
-      const std::size_t jx = s.d.xs.offset + m / s.d.zs.count;
-      const std::size_t jz = s.d.zs.offset + m % s.d.zs.count;
-      const std::size_t g = (jx * s.cfg.nz + jz) * n;
-      for (std::size_t f = 0; f < nfields; ++f)
-        os.write_at(payload + (f * per + g) * sizeof(cplx),
-                    fields[f]->data() + m * n, line_bytes);
-    }
+        owner ? *owner : joiner.emplace(io::atomic_file_writer::join(path));
+    for_each_owned_piece(
+        s, list, fs, lay.payload_offset(fs.size()),
+        [&](std::uint64_t at, const char* data, std::size_t bytes) {
+          os.write_at(at, data, bytes);
+        });
     if (joiner) joiner->close();
   }
   s.world.barrier();
@@ -536,134 +404,60 @@ void channel_dns::save_checkpoint_parallel(const std::string& path) {
 void channel_dns::load_checkpoint_parallel(const std::string& path) {
   auto& s = *impl_;
   s.ensure_resumed();
-  auto& st = s.state;
-  const std::size_t n = s.modes.n;
-  const std::size_t modes_g = s.cfg.nx / 2 * s.cfg.nz;
-  const std::size_t per = modes_g * n;
+  double frc[2];
+  const auto list = sections(s, frc);
+  const auto fs = file_sections(s, list);
+  const auto order = parallel_order(fs);
+  const layout lay = make_layout(s, true);
   std::ifstream is(path, std::ios::binary);
   PCF_REQUIRE(is.good(),
               "cannot open parallel checkpoint for reading: " + path);
-  std::uint64_t magic = 0, dims[3];
-  is.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  PCF_REQUIRE(magic == kCheckpointMagic + 2 ||
-                  magic == kCheckpointMagicV1 + 2,
-              "not a parallel checkpoint");
-  is.read(reinterpret_cast<char*>(dims), sizeof(dims));
-  PCF_REQUIRE(!is.fail(), "parallel checkpoint header truncated");
-  PCF_REQUIRE(dims[0] == s.cfg.nx &&
-                  dims[1] == static_cast<std::uint64_t>(s.cfg.ny) &&
-                  dims[2] == s.cfg.nz,
-              "parallel checkpoint grid mismatch");
-  is.read(reinterpret_cast<char*>(&s.time), sizeof(s.time));
-  is.read(reinterpret_cast<char*>(&s.steps), sizeof(s.steps));
-  const bool v1 = magic == kCheckpointMagicV1 + 2;
-  const std::size_t nsc = st.scalars.size();
-  const bool fr = s.cfg.scenario.constant_flow_rate();
-  PCF_REQUIRE(!v1 || (nsc == 0 && !fr),
-              "v1 parallel checkpoint has no scenario sections");
-  const std::size_t nfields = 3 + nsc;
-  const std::size_t nsections = nfields + 1 + nsc + (fr ? 1 : 0);
-  const std::size_t payload =
-      v1 ? kParallelV1Header : parallel_payload_base(nsections);
-  const std::size_t mean_elems = (2 + nsc) * n + (fr ? 2 : 0);
-  const std::size_t tail_bytes = mean_elems * sizeof(double);
-  const auto expected_size = static_cast<std::streamoff>(
-      payload + nfields * per * sizeof(cplx) + tail_bytes);
+  read_header(is, lay, s, fs.size());
+  const std::uint64_t payload = lay.payload_offset(fs.size());
+  std::uint64_t expected = payload;
+  for (const auto& f : fs) expected += f.bytes;
   // Every rank runs the identical verification on the shared file, so all
-  // ranks reach the same accept/reject decision without extra collectives.
+  // ranks reach the same accept/reject decision without extra collectives
+  // (no rank is left blocked in one when the file is damaged).
+  std::vector<section_header> table(fs.size());
+  is.read(reinterpret_cast<char*>(table.data()),
+          static_cast<std::streamsize>(table.size() * sizeof(section_header)));
+  PCF_REQUIRE(!is.fail(), "parallel checkpoint section table truncated");
   is.seekg(0, std::ios::end);
-  PCF_REQUIRE(is.tellg() == expected_size,
-              is.tellg() < expected_size
-                  ? "parallel checkpoint truncated"
-                  : "trailing garbage after checkpoint payload");
-  if (!v1) {
-    std::uint32_t meta[2] = {0, 0};
-    is.seekg(static_cast<std::streamoff>(kParallelV1Header));
-    is.read(reinterpret_cast<char*>(meta), sizeof(meta));
-    PCF_REQUIRE(!is.fail() && meta[0] == nsections,
-                "parallel checkpoint section count mismatch");
-    std::vector<section_header> table(nsections);
-    is.read(reinterpret_cast<char*>(table.data()),
-            static_cast<std::streamsize>(nsections * sizeof(section_header)));
-    PCF_REQUIRE(!is.fail(), "parallel checkpoint section table truncated");
-    // File layout order == table order: the distributed field payloads,
-    // then the rank-0-owned mean / scalar-mean / forcing tail blocks.
-    std::vector<std::string> names = {"c_v", "c_om", "c_phi"};
-    std::vector<std::size_t> sizes(3, per * sizeof(cplx));
-    for (std::size_t i = 0; i < nsc; ++i) {
-      names.push_back(sc_name("sc", i));
-      sizes.push_back(per * sizeof(cplx));
+  const auto size = static_cast<std::uint64_t>(is.tellg());
+  PCF_REQUIRE(size == expected, size < expected
+                                    ? "parallel checkpoint truncated"
+                                    : "trailing garbage after checkpoint "
+                                      "payload");
+  is.seekg(static_cast<std::streamoff>(payload));
+  std::vector<char> buf(1 << 20);
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    const file_section& f = fs[order[k]];
+    PCF_REQUIRE(section_name(table[k]) == f.name && table[k].bytes == f.bytes,
+                "checkpoint section '" + section_name(table[k]) +
+                    "' unexpected (expected '" + f.name + "')");
+    std::uint32_t crc = crc32_init();
+    for (std::uint64_t left = f.bytes; left > 0;) {
+      const std::size_t chunk =
+          static_cast<std::size_t>(std::min<std::uint64_t>(left, buf.size()));
+      is.read(buf.data(), static_cast<std::streamsize>(chunk));
+      PCF_REQUIRE(!is.fail(),
+                  "checkpoint section '" + f.name + "' truncated");
+      crc = crc32_update(crc, buf.data(), chunk);
+      left -= chunk;
     }
-    names.push_back("mean");
-    sizes.push_back(2 * n * sizeof(double));
-    for (std::size_t i = 0; i < nsc; ++i) {
-      names.push_back(sc_name("scm", i));
-      sizes.push_back(n * sizeof(double));
-    }
-    if (fr) {
-      names.push_back("frc");
-      sizes.push_back(2 * sizeof(double));
-    }
-    std::vector<char> buf(1 << 20);
-    for (std::size_t t = 0; t < nsections; ++t) {
-      PCF_REQUIRE(section_name(table[t]) == names[t] &&
-                      table[t].bytes == sizes[t],
-                  "checkpoint section '" + section_name(table[t]) +
-                      "' unexpected (expected '" + names[t] + "')");
-      std::uint32_t crc = crc32_init();
-      std::size_t left = sizes[t];
-      while (left > 0) {
-        const std::size_t chunk = std::min(left, buf.size());
-        is.read(buf.data(), static_cast<std::streamsize>(chunk));
-        PCF_REQUIRE(!is.fail(), "checkpoint section '" + names[t] +
-                                    "' truncated");
-        crc = crc32_update(crc, buf.data(), chunk);
-        left -= chunk;
-      }
-      PCF_REQUIRE(crc32_final(crc) == table[t].crc,
-                  "checkpoint section '" + names[t] + "' CRC mismatch");
-    }
+    PCF_REQUIRE(crc32_final(crc) == table[k].crc,
+                "checkpoint section '" + f.name + "' CRC mismatch");
   }
-  std::vector<aligned_buffer<cplx>*> fields = {&st.c_v, &st.c_om,
-                                               &st.c_phi};
-  for (std::size_t i = 0; i < nsc; ++i)
-    fields.push_back(&st.scalars[i].c_th);
-  for (std::size_t m = 0; m < s.modes.nmodes; ++m) {
-    const std::size_t jx = s.d.xs.offset + m / s.d.zs.count;
-    const std::size_t jz = s.d.zs.offset + m % s.d.zs.count;
-    const std::size_t g = (jx * s.cfg.nz + jz) * n;
-    for (std::size_t f = 0; f < nfields; ++f) {
-      is.seekg(static_cast<std::streamoff>(payload +
-                                           (f * per + g) * sizeof(cplx)));
-      is.read(reinterpret_cast<char*>(fields[f]->data() + m * n),
-              static_cast<std::streamsize>(n * sizeof(cplx)));
-    }
-  }
-  std::vector<double> mean_g(mean_elems);
-  is.seekg(
-      static_cast<std::streamoff>(payload + nfields * per * sizeof(cplx)));
-  is.read(reinterpret_cast<char*>(mean_g.data()),
-          static_cast<std::streamsize>(tail_bytes));
+  // Verified: each rank reads its own mode lines, the mean rank the
+  // rank-local tail.
+  for_each_owned_piece(s, list, fs, payload,
+                       [&](std::uint64_t at, char* data, std::size_t bytes) {
+                         is.seekg(static_cast<std::streamoff>(at));
+                         is.read(data, static_cast<std::streamsize>(bytes));
+                       });
   PCF_REQUIRE(is.good(), "parallel checkpoint read failed");
-  if (s.modes.has_mean) {
-    std::copy_n(mean_g.data(), n, st.c_U.begin());
-    std::copy_n(mean_g.data() + n, n, st.c_W.begin());
-    for (std::size_t i = 0; i < nsc; ++i)
-      std::copy_n(mean_g.data() + (2 + i) * n, n,
-                  st.scalars[i].c_T.begin());
-  }
-  if (fr)
-    s.mean_flow.restore_forcing(mean_g[(2 + nsc) * n],
-                                mean_g[(2 + nsc) * n + 1]);
-  st.hv_prev.fill(cplx{0, 0});
-  st.hg_prev.fill(cplx{0, 0});
-  std::fill(st.hU_prev.begin(), st.hU_prev.end(), 0.0);
-  std::fill(st.hW_prev.begin(), st.hW_prev.end(), 0.0);
-  for (auto& sc : st.scalars) {
-    sc.hth_prev.fill(cplx{0, 0});
-    std::fill(sc.hT_prev.begin(), sc.hT_prev.end(), 0.0);
-  }
-  s.invalidate_solvers();
+  finish_load(s, frc);
   s.world.barrier();
 }
 

@@ -223,6 +223,12 @@ struct step_timings {
   counters::pool_counts pool{};
 };
 
+/// One checkpoint section's name and CRC-32 (channel_dns::section_crcs).
+struct section_crc {
+  std::string name;
+  std::uint32_t crc = 0;
+};
+
 class channel_dns {
  public:
   channel_dns(const channel_config& cfg, vmpi::communicator& world);
@@ -348,11 +354,13 @@ class channel_dns {
   double flow_rate_target();
 
   // --- checkpointing ---------------------------------------------------------
-  // All three formats write crash-safely (temp file + atomic rename, so an
-  // interrupted save never damages the previous checkpoint) in the v2
-  // sectioned layout with a CRC-32 per array; loads verify every checksum
-  // and reject truncation or trailing bytes with an error naming the bad
-  // section. v1 files (no checksums) are still accepted on load.
+  // Two layouts, both described by one ordered section list (c_v, c_om,
+  // c_phi, the mean U/W, per scalar sc<i>/scm<i>, frc under constant flow
+  // rate; see checkpoint.cpp). Both write crash-safely (temp file + atomic
+  // rename, so an interrupted save never damages the previous checkpoint)
+  // in the v2 sectioned layout with a CRC-32 per array; loads verify every
+  // checksum and reject truncation or trailing bytes with an error naming
+  // the bad section.
 
   /// Save the evolved state to a per-rank binary file (call at a step
   /// boundary; RK3 carries no nonlinear history across steps). Restoring
@@ -360,26 +368,30 @@ class channel_dns {
   void save_checkpoint(const std::string& path) const;
   void load_checkpoint(const std::string& path);
 
-  /// Decomposition-independent checkpoint: gathers the global modal state
-  /// and writes one file from rank 0 (collective). load redistributes it
-  /// onto this instance's process grid, so a run saved on P_A x P_B ranks
-  /// restarts on any other grid of the same spectral resolution.
-  void save_checkpoint_global(const std::string& path);
-  void load_checkpoint_global(const std::string& path);
-
-  /// Parallel single-file checkpoint: every rank writes its own modes at
-  /// their global offsets (MPI-IO style — no rank gathers the global
-  /// state, so memory stays O(local) as a production-size run requires).
-  /// The file layout is global, so it is also decomposition-independent.
+  /// Parallel single-file checkpoint (collective): every rank writes its
+  /// own modes at their global offsets (MPI-IO style — no rank gathers the
+  /// global state, so memory stays O(local) as a production-size run
+  /// requires). The file layout is global, so a run saved on P_A x P_B
+  /// ranks restarts on any other grid of the same spectral resolution.
   void save_checkpoint_parallel(const std::string& path);
   void load_checkpoint_parallel(const std::string& path);
+
+  /// The CRC-32 of every section of the parallel layout, in global order
+  /// (c_v, c_om, c_phi, mean, then sc<i>, scm<i> per scalar, frc under
+  /// constant flow rate), computed from each owner's in-memory bits: the
+  /// values the parallel file's section table records, independent of the
+  /// decomposition. Writes no file. Collective.
+  [[nodiscard]] std::vector<section_crc> section_crcs() const;
 
   // --- performance ----------------------------------------------------------
   [[nodiscard]] step_timings timings() const;
   void reset_timings();
 
- private:
+  /// The implementation; defined in simulation_impl.hpp and used only
+  /// inside src/core.
   struct impl;
+
+ private:
   std::unique_ptr<impl> impl_;
 };
 

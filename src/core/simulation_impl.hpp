@@ -1,7 +1,7 @@
 // Internal definition of channel_dns::impl, shared by the simulation's
 // translation units (simulation.cpp: lifecycle + stepping, observables.cpp:
-// diagnostics/statistics/spectra, checkpoint.cpp: the three checkpoint
-// formats). Not installed; include only from src/core.
+// diagnostics/statistics/spectra, checkpoint.cpp: the checkpoint codec).
+// Not installed; include only from src/core.
 //
 // The impl is a thin composition root: it owns the communicator, the
 // decomposition, the workspace arena, the pencil kernel, the operators and

@@ -76,32 +76,44 @@ constexpr crc_matrix gf2_times_mat(const crc_matrix& a, const crc_matrix& b) {
 
 }  // namespace detail
 
+/// crc32_combine for a fixed len_b. The operator that advances a CRC over
+/// len_b zero bytes is built once, so joining many equal-length pieces
+/// (a field's mode lines, in global order) costs one 32x32 GF(2)
+/// matrix-vector product per piece.
+class crc32_combiner {
+ public:
+  explicit constexpr crc32_combiner(std::uint64_t len_b) {
+    // Operator for one zero bit: the CRC shift (reflected polynomial),
+    // squared three times into the operator for one zero byte.
+    detail::crc_matrix step{};
+    step[0] = 0xEDB88320u;
+    for (std::size_t i = 1; i < 32; ++i) step[i] = 1u << (i - 1);
+    for (int k = 0; k < 3; ++k) step = detail::gf2_times_mat(step, step);
+    for (std::size_t i = 0; i < 32; ++i) shift_[i] = 1u << i;
+    // Square-and-multiply over the bits of len_b.
+    for (; len_b != 0; len_b >>= 1) {
+      if (len_b & 1u) shift_ = detail::gf2_times_mat(step, shift_);
+      step = detail::gf2_times_mat(step, step);
+    }
+  }
+
+  /// CRC-32 of A||B from crc32(A) and crc32(B), |B| = len_b.
+  [[nodiscard]] constexpr std::uint32_t operator()(std::uint32_t crc_a,
+                                                   std::uint32_t crc_b) const {
+    return detail::gf2_times_vec(shift_, crc_a) ^ crc_b;
+  }
+
+ private:
+  detail::crc_matrix shift_{};
+};
+
 /// CRC-32 of the concatenation A||B from crc32(A), crc32(B) and B's length
 /// (zlib crc32_combine semantics). Lets scattered writers checksum a file
 /// section from their in-memory pieces without ever re-reading the file.
 [[nodiscard]] inline std::uint32_t crc32_combine(std::uint32_t crc_a,
                                                  std::uint32_t crc_b,
                                                  std::uint64_t len_b) {
-  if (len_b == 0) return crc_a;
-  // Operator for one zero bit: the CRC shift (reflected polynomial).
-  detail::crc_matrix odd{};
-  odd[0] = 0xEDB88320u;
-  for (std::size_t i = 1; i < 32; ++i) odd[i] = 1u << (i - 1);
-  detail::crc_matrix even = detail::gf2_times_mat(odd, odd);  // 2 zero bits
-  odd = detail::gf2_times_mat(even, even);                    // 4 zero bits
-  // Advance crc_a over 8 * len_b zero bits, squaring per length bit.
-  std::uint32_t crc = crc_a;
-  std::uint64_t len = len_b;
-  do {
-    even = detail::gf2_times_mat(odd, odd);
-    if (len & 1u) crc = detail::gf2_times_vec(even, crc);
-    len >>= 1;
-    if (len == 0) break;
-    odd = detail::gf2_times_mat(even, even);
-    if (len & 1u) crc = detail::gf2_times_vec(odd, crc);
-    len >>= 1;
-  } while (len != 0);
-  return crc ^ crc_b;
+  return len_b == 0 ? crc_a : crc32_combiner(len_b)(crc_a, crc_b);
 }
 
 }  // namespace pcf

@@ -84,8 +84,7 @@ std::vector<campaign::job_spec> sweep_jobs() {
 /// per-tenant config overrides (single-rank world, pooled workspace)
 /// mirrored, fingerprinting after every step exactly as the campaign
 /// observer does.
-determinism::trace solo_trace(const campaign::job_spec& j,
-                              const std::string& scratch) {
+determinism::trace solo_trace(const campaign::job_spec& j) {
   determinism::trace tr;
   core::channel_config cc = j.config;
   cc.pa = 1;
@@ -98,7 +97,7 @@ determinism::trace solo_trace(const campaign::job_spec& j,
       dns.set_cfl_target(j.cfl_target, j.dt_min, j.dt_max);
     for (long s = 0; s < j.steps; ++s) {
       dns.step();
-      tr.steps.push_back(determinism::fingerprint(dns, scratch));
+      tr.steps.push_back(determinism::fingerprint(dns));
     }
   });
   return tr;
@@ -117,7 +116,7 @@ TEST(CampaignDeterminism, SweepMatchesSoloTracesThroughEviction) {
   std::vector<determinism::trace> solo(jobs.size());
   std::uint64_t single_run_peak = 0;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    solo[i] = solo_trace(jobs[i], scratch + "/solo_fp.ckpt");
+    solo[i] = solo_trace(jobs[i]);
     if (i == 0) single_run_peak = block_pool::global().stats().blocks_peak;
   }
   ASSERT_GT(single_run_peak, 0u);
@@ -139,8 +138,8 @@ TEST(CampaignDeterminism, SweepMatchesSoloTracesThroughEviction) {
   // append to disjoint vectors with no reallocation of the outer one.
   std::vector<determinism::trace> campaign_traces(jobs.size());
   server.set_step_observer([&](std::uint64_t id, core::channel_dns& dns) {
-    campaign_traces[id - ids.front()].steps.push_back(determinism::fingerprint(
-        dns, scratch + "/fp_" + std::to_string(id) + ".ckpt"));
+    campaign_traces[id - ids.front()].steps.push_back(
+        determinism::fingerprint(dns));
   });
 
   const campaign::campaign_report rep = server.run();

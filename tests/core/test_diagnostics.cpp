@@ -77,8 +77,8 @@ TEST(Dissipation, FluctuationsIncreaseDissipation) {
   });
 }
 
-TEST(GlobalCheckpoint, RestartOnDifferentDecomposition) {
-  const std::string path = ::testing::TempDir() + "/pcf_gckpt.bin";
+TEST(ParallelCheckpoint, RestartOnDifferentDecomposition) {
+  const std::string path = ::testing::TempDir() + "/pcf_pckpt_regrid.bin";
   auto cfg = cfg_small();
   // Run 2 + 1 steps on a 2x2 grid, saving after step 2.
   std::vector<double> direct;
@@ -89,7 +89,7 @@ TEST(GlobalCheckpoint, RestartOnDifferentDecomposition) {
     dns.initialize(0.1, 3);
     dns.step();
     dns.step();
-    dns.save_checkpoint_global(path);
+    dns.save_checkpoint_parallel(path);
     dns.step();
     auto prof = dns.mean_profile();  // collective: every rank participates
     if (world.rank() == 0) direct = prof;
@@ -100,7 +100,7 @@ TEST(GlobalCheckpoint, RestartOnDifferentDecomposition) {
   cfg.pb = 1;
   run_world(1, [&](communicator& world) {
     channel_dns dns(cfg, world);
-    dns.load_checkpoint_global(path);
+    dns.load_checkpoint_parallel(path);
     EXPECT_EQ(dns.step_count(), 2);
     dns.step();
     resumed = dns.mean_profile();
@@ -111,8 +111,8 @@ TEST(GlobalCheckpoint, RestartOnDifferentDecomposition) {
   std::remove(path.c_str());
 }
 
-TEST(GlobalCheckpoint, RoundTripPreservesEnergyAndTime) {
-  const std::string path = ::testing::TempDir() + "/pcf_gckpt2.bin";
+TEST(ParallelCheckpoint, RoundTripPreservesEnergyAndTime) {
+  const std::string path = ::testing::TempDir() + "/pcf_pckpt_energy.bin";
   auto cfg = cfg_small();
   double e_before = 0.0, t_before = 0.0;
   run_world(1, [&](communicator& world) {
@@ -121,12 +121,12 @@ TEST(GlobalCheckpoint, RoundTripPreservesEnergyAndTime) {
     dns.step();
     e_before = dns.kinetic_energy();
     t_before = dns.time();
-    dns.save_checkpoint_global(path);
+    dns.save_checkpoint_parallel(path);
   });
   cfg.pa = 2;
   run_world(2, [&](communicator& world) {
     channel_dns dns(cfg, world);
-    dns.load_checkpoint_global(path);
+    dns.load_checkpoint_parallel(path);
     EXPECT_DOUBLE_EQ(dns.time(), t_before);
     EXPECT_NEAR(dns.kinetic_energy(), e_before, 1e-10 * e_before);
   });
@@ -165,42 +165,13 @@ TEST(ParallelCheckpoint, SingleFileRestartAcrossDecompositions) {
   std::remove(path.c_str());
 }
 
-TEST(ParallelCheckpoint, AgreesWithGatheredCheckpoint) {
-  // Both formats carry the same state: loading either must reproduce the
-  // same kinetic energy.
-  const std::string p1 = ::testing::TempDir() + "/pcf_pckpt_a.bin";
-  const std::string p2 = ::testing::TempDir() + "/pcf_pckpt_b.bin";
-  auto cfg = cfg_small();
-  double e_ref = 0.0;
-  run_world(1, [&](communicator& world) {
-    channel_dns dns(cfg, world);
-    dns.initialize(0.25, 21);
-    dns.step();
-    e_ref = dns.kinetic_energy();
-    dns.save_checkpoint_parallel(p1);
-    dns.save_checkpoint_global(p2);
-  });
-  for (const auto& p : {p1, p2}) {
-    run_world(1, [&](communicator& world) {
-      channel_dns dns(cfg, world);
-      if (p == p1)
-        dns.load_checkpoint_parallel(p);
-      else
-        dns.load_checkpoint_global(p);
-      EXPECT_NEAR(dns.kinetic_energy(), e_ref, 1e-12 * e_ref);
-    });
-  }
-  std::remove(p1.c_str());
-  std::remove(p2.c_str());
-}
-
 TEST(ParallelCheckpoint, RejectsWrongMagic) {
   const std::string path = ::testing::TempDir() + "/pcf_pckpt_bad.bin";
   auto cfg = cfg_small();
   run_world(1, [&](communicator& world) {
     channel_dns dns(cfg, world);
     dns.initialize(0.0);
-    dns.save_checkpoint_global(path);  // wrong format on purpose
+    dns.save_checkpoint(path);  // a per-rank file, on purpose
   });
   EXPECT_THROW(run_world(1,
                          [&](communicator& world) {
@@ -211,19 +182,19 @@ TEST(ParallelCheckpoint, RejectsWrongMagic) {
   std::remove(path.c_str());
 }
 
-TEST(GlobalCheckpoint, RejectsWrongResolution) {
-  const std::string path = ::testing::TempDir() + "/pcf_gckpt3.bin";
+TEST(ParallelCheckpoint, RejectsWrongResolution) {
+  const std::string path = ::testing::TempDir() + "/pcf_pckpt_res.bin";
   auto cfg = cfg_small();
   run_world(1, [&](communicator& world) {
     channel_dns dns(cfg, world);
     dns.initialize(0.0);
-    dns.save_checkpoint_global(path);
+    dns.save_checkpoint_parallel(path);
   });
   cfg.nz = 16;
   EXPECT_THROW(run_world(1,
                          [&](communicator& world) {
                            channel_dns dns(cfg, world);
-                           dns.load_checkpoint_global(path);
+                           dns.load_checkpoint_parallel(path);
                          }),
                pcf::precondition_error);
   std::remove(path.c_str());

@@ -3,7 +3,7 @@
 // velocity held exactly by linearity of the mean Helmholtz solve), and
 // passive scalars (exact conduction steady state, analytic diffusive
 // decay). Plus the config validation boundary and scenario-state
-// checkpoint round trips in all three formats.
+// checkpoint round trips in both layouts.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -288,22 +288,33 @@ TEST(Scenarios, ConstructorValidatesBeforeBuildingAnything) {
 
 namespace {
 
-/// Save `a` with the given saver, load into a freshly initialized `b`,
-/// and require bit-identical observables — then one more step on both to
-/// prove the restored run continues exactly (RK3 carries no nonlinear
-/// history across step boundaries).
+/// Save a run on a save_pa x save_pb split with the given saver, load into
+/// a freshly initialized single-rank `b`, and require bit-identical
+/// observables against the single-rank run `a` — then one more step on
+/// both to prove the restored run continues exactly (RK3 carries no
+/// nonlinear history across step boundaries, and the state does not
+/// depend on the decomposition).
 using checkpoint_fn =
     std::function<void(channel_dns&, const std::string&)>;
 
 void roundtrip_and_compare(const channel_config& cfg, const std::string& tag,
                            const checkpoint_fn& save,
-                           const checkpoint_fn& load) {
+                           const checkpoint_fn& load, int save_pa = 1,
+                           int save_pb = 1) {
   const std::string path = scratch(tag);
+  channel_config split = cfg;
+  split.pa = save_pa;
+  split.pb = save_pb;
+  run_world(save_pa * save_pb, [&](communicator& world) {
+    channel_dns a(split, world);
+    a.initialize(0.1, 2);
+    for (int s = 0; s < 3; ++s) a.step();
+    save(a, path);
+  });
   run_world(1, [&](communicator& world) {
     channel_dns a(cfg, world);
     a.initialize(0.1, 2);
     for (int s = 0; s < 3; ++s) a.step();
-    save(a, path);
 
     channel_dns b(cfg, world);
     b.initialize(0.0);
@@ -364,15 +375,6 @@ TEST(Scenarios, PerRankCheckpointRoundTripsScenarioState) {
       [](channel_dns& d, const std::string& p) { d.load_checkpoint(p); });
 }
 
-TEST(Scenarios, GlobalCheckpointRoundTripsScenarioState) {
-  roundtrip_and_compare(
-      scenario_checkpoint_config(), "global",
-      [](channel_dns& d, const std::string& p) { d.save_checkpoint_global(p); },
-      [](channel_dns& d, const std::string& p) {
-        d.load_checkpoint_global(p);
-      });
-}
-
 TEST(Scenarios, ParallelCheckpointRoundTripsScenarioState) {
   roundtrip_and_compare(
       scenario_checkpoint_config(), "parallel",
@@ -382,4 +384,19 @@ TEST(Scenarios, ParallelCheckpointRoundTripsScenarioState) {
       [](channel_dns& d, const std::string& p) {
         d.load_checkpoint_parallel(p);
       });
+}
+
+// The parallel file is decomposition-independent: scenario state saved on
+// a 2 x 2 split (scalar lines from every rank, the mean rank's profiles
+// and forcing pair) restores onto a single rank.
+TEST(Scenarios, ParallelCheckpointRestoresScenarioStateAcrossSplits) {
+  roundtrip_and_compare(
+      scenario_checkpoint_config(), "parallel_split",
+      [](channel_dns& d, const std::string& p) {
+        d.save_checkpoint_parallel(p);
+      },
+      [](channel_dns& d, const std::string& p) {
+        d.load_checkpoint_parallel(p);
+      },
+      2, 2);
 }

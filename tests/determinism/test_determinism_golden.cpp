@@ -42,18 +42,16 @@ const std::string kGoldenCsv =
 TEST(DeterminismGolden, QuickstartTraceMatchesCommittedGolden) {
   if (PCF_UNDER_TSAN) GTEST_SKIP() << "golden artifacts excluded from the "
                                       "sanitizer matrix (runtime bound)";
-  const std::string scratch = scratch_path("fp");
   const std::string ckpt = scratch_path("ckpt");
   trace t;
   std::uint32_t ckpt_crc = 0;
   run_world(1, [&](communicator& world) {
     channel_dns dns(quickstart_config(), world);
     dns.initialize(kQuickstartPerturbation, kQuickstartSeed);
-    t = record_trace(dns, kGoldenSteps, scratch);
+    t = record_trace(dns, kGoldenSteps);
     dns.save_checkpoint(ckpt);
     ckpt_crc = file_crc32(ckpt);
   });
-  std::remove(scratch.c_str());
   std::remove(ckpt.c_str());
 
   // The committed end-state lineage holds regardless of the CSV.

@@ -32,28 +32,25 @@ constexpr int kSteps = PCF_UNDER_TSAN ? 6 : 12;
 /// Run the quickstart campaign under `cfg` on cfg.pa * cfg.pb virtual
 /// ranks and return the per-step fingerprint trace (rank 0's copy; all
 /// ranks compute the identical trace).
-trace run_config(const channel_config& cfg, const std::string& tag,
-                 int nsteps = kSteps) {
+trace run_config(const channel_config& cfg, int nsteps = kSteps) {
   trace t;
-  const std::string scratch = scratch_path(tag);
   run_world(cfg.pa * cfg.pb, [&](communicator& world) {
     channel_dns dns(cfg, world);
     dns.initialize(kQuickstartPerturbation, kQuickstartSeed);
-    const trace local = record_trace(dns, nsteps, scratch);
+    const trace local = record_trace(dns, nsteps);
     if (world.rank() == 0) t = local;
   });
-  std::remove(scratch.c_str());
   return t;
 }
 
 trace& baseline() {
-  static trace t = run_config(quickstart_config(), "baseline");
+  static trace t = run_config(quickstart_config());
   return t;
 }
 
 void expect_matches_baseline(const channel_config& cfg,
                              const std::string& tag) {
-  const trace t = run_config(cfg, tag);
+  const trace t = run_config(cfg);
   const auto divs = compare(baseline(), t);
   EXPECT_TRUE(divs.empty()) << "config '" << tag
                             << "' diverged from the baseline trace:\n"
@@ -83,8 +80,8 @@ TEST(DeterminismMatrix, ThreadsDepthBatchCrossProduceOneTrace) {
   }
 }
 
-// Virtual-rank decompositions: the gathered-global fingerprint is
-// decomposition-independent, so every pa x pb split must reproduce the
+// Virtual-rank decompositions: the fingerprint (global-order section
+// CRCs) is decomposition-independent, so every pa x pb split must reproduce the
 // single-rank trace — serial and pipelined exchange paths both.
 TEST(DeterminismMatrix, RankSplitsProduceOneTrace) {
   struct split {

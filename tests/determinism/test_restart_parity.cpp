@@ -6,7 +6,6 @@
 // boundary captures the complete dynamical state — any divergence is a
 // bug, and the harness names the step and field where it appears.
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <cmath>
 #include <cstdio>
@@ -35,14 +34,10 @@ using namespace pcf_determinism_test;
 
 constexpr int kSteps = PCF_UNDER_TSAN ? 6 : 12;
 
-enum class fmt { per_rank, global, parallel };
+enum class fmt { per_rank, parallel };
 
 const char* fmt_name(fmt f) {
-  switch (f) {
-    case fmt::per_rank: return "per_rank";
-    case fmt::global: return "global";
-    default: return "parallel";
-  }
+  return f == fmt::per_rank ? "per_rank" : "parallel";
 }
 
 std::string rank_suffix(const communicator& world) {
@@ -54,17 +49,11 @@ std::string rank_suffix(const communicator& world) {
 trace& baseline() {
   static trace t = [] {
     trace b;
-    // Every test case is its own process under ctest; the pid keeps
-    // their baseline files apart.
-    const std::string scratch =
-        ::testing::TempDir() + "/pcf_det_restart_baseline_" +
-        std::to_string(::getpid());
     run_world(1, [&](communicator& world) {
       channel_dns dns(quickstart_config(), world);
       dns.initialize(kQuickstartPerturbation, kQuickstartSeed);
-      b = record_trace(dns, kSteps, scratch);
+      b = record_trace(dns, kSteps);
     });
-    std::remove(scratch.c_str());
     return b;
   }();
   return t;
@@ -83,55 +72,36 @@ trace interrupted_run(fmt f, int k, int nranks) {
   const std::string base = scratch_path(std::string(fmt_name(f)) + "_k" +
                                         std::to_string(k));
   const std::string ckpt = base + ".ckpt";
-  const std::string scratch = base + ".fp";
   const channel_config cfg = quickstart_config();
 
   run_world(nranks, [&](communicator& world) {
     channel_dns dns(cfg, world);
     dns.initialize(kQuickstartPerturbation, kQuickstartSeed);
     for (int s = 0; s < k; ++s) dns.step();
-    switch (f) {
-      case fmt::per_rank:
-        // Through the runner's generation rotation, as a campaign would.
-        dns.save_checkpoint(
-            pcf::io::generation_path(ckpt, dns.step_count()) +
-            rank_suffix(world));
-        break;
-      case fmt::global:
-        dns.save_checkpoint_global(ckpt);
-        break;
-      case fmt::parallel:
-        dns.save_checkpoint_parallel(ckpt);
-        break;
-    }
+    if (f == fmt::per_rank)
+      // Through the runner's generation rotation, as a campaign would.
+      dns.save_checkpoint(pcf::io::generation_path(ckpt, dns.step_count()) +
+                          rank_suffix(world));
+    else
+      dns.save_checkpoint_parallel(ckpt);
   });  // simulation destroyed here
 
   trace cont;
   run_world(nranks, [&](communicator& world) {
     channel_dns dns(cfg, world);
-    switch (f) {
-      case fmt::per_rank: {
-        const long g = resume_or_initialize(dns, world, ckpt,
-                                            kQuickstartPerturbation,
-                                            kQuickstartSeed);
-        EXPECT_EQ(g, k);
-        break;
-      }
-      case fmt::global:
-        dns.load_checkpoint_global(ckpt);
-        break;
-      case fmt::parallel:
-        dns.load_checkpoint_parallel(ckpt);
-        break;
-    }
+    if (f == fmt::per_rank)
+      EXPECT_EQ(resume_or_initialize(dns, world, ckpt,
+                                     kQuickstartPerturbation,
+                                     kQuickstartSeed),
+                k);
+    else
+      dns.load_checkpoint_parallel(ckpt);
     EXPECT_EQ(dns.step_count(), k);
-    const trace local = record_trace(dns, kSteps - k, scratch);
+    const trace local = record_trace(dns, kSteps - k);
     if (world.rank() == 0) cont = local;
   });
 
-  std::remove(scratch.c_str());
   std::remove(ckpt.c_str());
-  std::remove((ckpt + ".0").c_str());
   for (int r = 0; r < nranks; ++r)
     std::remove(
         (pcf::io::generation_path(ckpt, k) + "." + std::to_string(r)).c_str());
@@ -155,25 +125,23 @@ TEST_P(RestartParity, ContinuationMatchesUninterruptedRun) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllFormats, RestartParity,
-                         ::testing::Values(fmt::per_rank, fmt::global,
-                                           fmt::parallel),
+                         ::testing::Values(fmt::per_rank, fmt::parallel),
                          [](const auto& info) {
                            return std::string(fmt_name(info.param));
                          });
 
 // The decomposition-changing restart: interrupt on one rank, continue on
-// 2 x 2 (global format is decomposition-independent) — same trace.
-TEST(RestartParityMultiRank, GlobalRestartOntoDifferentGridMatches) {
+// 2 x 2 (the parallel layout is decomposition-independent) — same trace.
+TEST(RestartParityMultiRank, ParallelRestartOntoDifferentGridMatches) {
   const int k = kSteps / 2;
   const std::string base = scratch_path("regrid");
   const std::string ckpt = base + ".ckpt";
-  const std::string scratch = base + ".fp";
 
   run_world(1, [&](communicator& world) {
     channel_dns dns(quickstart_config(), world);
     dns.initialize(kQuickstartPerturbation, kQuickstartSeed);
     for (int s = 0; s < k; ++s) dns.step();
-    dns.save_checkpoint_global(ckpt);
+    dns.save_checkpoint_parallel(ckpt);
   });
 
   trace cont;
@@ -182,15 +150,14 @@ TEST(RestartParityMultiRank, GlobalRestartOntoDifferentGridMatches) {
   cfg.pb = 2;
   run_world(4, [&](communicator& world) {
     channel_dns dns(cfg, world);
-    dns.load_checkpoint_global(ckpt);
-    const trace local = record_trace(dns, kSteps - k, scratch);
+    dns.load_checkpoint_parallel(ckpt);
+    const trace local = record_trace(dns, kSteps - k);
     if (world.rank() == 0) cont = local;
   });
-  std::remove(scratch.c_str());
   std::remove(ckpt.c_str());
 
   const auto divs = compare(tail_from(baseline(), k), cont);
-  EXPECT_TRUE(divs.empty()) << "1-rank -> 2x2 global restart diverged:\n"
+  EXPECT_TRUE(divs.empty()) << "1-rank -> 2x2 parallel restart diverged:\n"
                             << describe(divs);
 }
 
@@ -203,13 +170,12 @@ TEST(RestartParityMultiRank, PerRankRestartOnTwoRanksMatches) {
 
   const std::string base = scratch_path("tworank");
   const std::string ckpt = base + ".ckpt";
-  const std::string scratch = base + ".fp";
 
   trace uninterrupted;
   run_world(2, [&](communicator& world) {
     channel_dns dns(cfg, world);
     dns.initialize(kQuickstartPerturbation, kQuickstartSeed);
-    const trace local = record_trace(dns, kSteps, scratch);
+    const trace local = record_trace(dns, kSteps);
     if (world.rank() == 0) uninterrupted = local;
   });
   {
@@ -234,10 +200,9 @@ TEST(RestartParityMultiRank, PerRankRestartOnTwoRanksMatches) {
                                         kQuickstartPerturbation,
                                         kQuickstartSeed);
     EXPECT_EQ(g, k);
-    const trace local = record_trace(dns, kSteps - k, scratch);
+    const trace local = record_trace(dns, kSteps - k);
     if (world.rank() == 0) cont = local;
   });
-  std::remove(scratch.c_str());
   for (int r = 0; r < 2; ++r)
     std::remove(
         (pcf::io::generation_path(ckpt, k) + "." + std::to_string(r)).c_str());
@@ -258,7 +223,6 @@ TEST(RestartRecovery, InPlaceRestoreWithReducedDtMatchesFreshInstance) {
   const double reduced_dt = 5e-5;
   const std::string base = scratch_path("blowup");
   const std::string ckpt = base + ".ckpt";
-  const std::string scratch = base + ".fp";
 
   trace recovered;
   run_world(1, [&](communicator& world) {
@@ -276,7 +240,7 @@ TEST(RestartRecovery, InPlaceRestoreWithReducedDtMatchesFreshInstance) {
     const long g = restore_newest_generation(dns, world, ckpt);
     ASSERT_EQ(g, k);
     dns.set_dt(reduced_dt);
-    recovered = record_trace(dns, m, scratch);
+    recovered = record_trace(dns, m);
   });
 
   trace fresh;
@@ -284,9 +248,8 @@ TEST(RestartRecovery, InPlaceRestoreWithReducedDtMatchesFreshInstance) {
     channel_dns dns(quickstart_config(), world);
     dns.load_checkpoint(pcf::io::generation_path(ckpt, k) + ".0");
     dns.set_dt(reduced_dt);
-    fresh = record_trace(dns, m, scratch);
+    fresh = record_trace(dns, m);
   });
-  std::remove(scratch.c_str());
   std::remove((pcf::io::generation_path(ckpt, k) + ".0").c_str());
 
   const auto divs = compare(fresh, recovered);
@@ -302,23 +265,21 @@ TEST(RestartRecovery, InPlaceReloadRewindsExactly) {
   const int k = 2, m = PCF_UNDER_TSAN ? 3 : 5;
   const std::string base = scratch_path("rewind");
   const std::string ckpt = base + ".ckpt.0";
-  const std::string scratch = base + ".fp";
 
   run_world(1, [&](communicator& world) {
     channel_dns dns(quickstart_config(), world);
     dns.initialize(kQuickstartPerturbation, kQuickstartSeed);
     for (int s = 0; s < k; ++s) dns.step();
     dns.save_checkpoint(ckpt);
-    const trace onward = record_trace(dns, m, scratch);
+    const trace onward = record_trace(dns, m);
     dns.load_checkpoint(ckpt);
     EXPECT_EQ(dns.step_count(), k);
-    const trace replay = record_trace(dns, m, scratch);
+    const trace replay = record_trace(dns, m);
     const auto divs = compare(onward, replay);
     EXPECT_TRUE(divs.empty())
         << "in-place rewind replay diverged:\n"
         << describe(divs);
   });
-  std::remove(scratch.c_str());
   std::remove(ckpt.c_str());
 }
 

@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
-#include <iterator>
 #include <string>
 #include <vector>
 
@@ -134,54 +133,10 @@ TEST(Checkpoint, RejectsTrailingGarbage) {
   std::remove(path.c_str());
 }
 
-TEST(Checkpoint, LoadsV1FormatFiles) {
-  // Build a v1 (headerless, no-CRC) file from a v2 save: keep the
-  // magic/dims/time/steps prefix with the old magic, drop the meta words,
-  // concatenate the raw section payloads. The loader must accept it.
-  const std::string v2 = ::testing::TempDir() + "/pcf_ckpt_v2.bin";
-  const std::string v1 = ::testing::TempDir() + "/pcf_ckpt_v1.bin";
-  run_world(1, [&](communicator& world) {
-    channel_dns dns(cfg_small(), world);
-    dns.initialize(0.1, 11);
-    for (int i = 0; i < 2; ++i) dns.step();
-    dns.save_checkpoint(v2);
-
-    std::ifstream is(v2, std::ios::binary);
-    std::vector<char> bytes{std::istreambuf_iterator<char>(is),
-                            std::istreambuf_iterator<char>()};
-    constexpr std::uint64_t kMagicV1 = 0x50434644'4e533031ull;
-    constexpr std::size_t kPrefix = 8 + 5 * 8 + 8 + 8;  // magic..steps
-    std::ofstream os(v1, std::ios::binary);
-    os.write(reinterpret_cast<const char*>(&kMagicV1), 8);
-    os.write(bytes.data() + 8, kPrefix - 8);
-    std::size_t pos = kPrefix + 2 * 4;  // skip the v2 meta (two uint32s)
-    while (pos + 24 <= bytes.size()) {
-      std::uint64_t sz = 0;  // section header: name[8], bytes, crc, reserved
-      std::memcpy(&sz, bytes.data() + pos + 8, 8);
-      os.write(bytes.data() + pos + 24, static_cast<std::streamsize>(sz));
-      pos += 24 + sz;
-    }
-    ASSERT_EQ(pos, bytes.size());
-    os.close();
-
-    channel_dns dns2(cfg_small(), world);
-    dns2.load_checkpoint(v1);
-    EXPECT_EQ(dns2.time(), dns.time());
-    EXPECT_EQ(dns2.step_count(), dns.step_count());
-    const auto a = dns.mean_profile();
-    const auto b = dns2.mean_profile();
-    ASSERT_EQ(a.size(), b.size());
-    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0);
-  });
-  std::remove(v2.c_str());
-  std::remove(v1.c_str());
-}
-
 #ifdef PCF_SOURCE_DIR
-TEST(Checkpoint, CommittedV1ArtifactStillLoads) {
-  // The repository ships the checkpoint of the minimal Re_tau = 180 run
-  // (results/README.md) in the v1 format; the v2 loader must keep
-  // accepting it.
+TEST(Checkpoint, CommittedArtifactLoads) {
+  // The repository ships the per-rank checkpoint of the minimal
+  // Re_tau = 180 run (results/README.md); it must keep loading.
   channel_config cfg;
   cfg.nx = 32;
   cfg.nz = 16;

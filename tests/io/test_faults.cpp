@@ -1,4 +1,4 @@
-// Deterministic fault-injection matrix for the three checkpoint formats
+// Deterministic fault-injection matrix for the two checkpoint layouts
 // (ctest label: faults).
 //
 // Every injected fault must be either *invisible* — the crash hit before
@@ -8,6 +8,7 @@
 // these tests exist to rule out.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -38,30 +39,24 @@ channel_config cfg_small() {
   return cfg;
 }
 
-enum class fmt { per_rank, global, parallel };
+enum class fmt { per_rank, parallel };
 
 const char* fmt_name(fmt f) {
-  switch (f) {
-    case fmt::per_rank: return "per_rank";
-    case fmt::global: return "global";
-    default: return "parallel";
-  }
+  return f == fmt::per_rank ? "per_rank" : "parallel";
 }
 
 void save_as(channel_dns& dns, fmt f, const std::string& path) {
-  switch (f) {
-    case fmt::per_rank: dns.save_checkpoint(path); break;
-    case fmt::global: dns.save_checkpoint_global(path); break;
-    case fmt::parallel: dns.save_checkpoint_parallel(path); break;
-  }
+  if (f == fmt::per_rank)
+    dns.save_checkpoint(path);
+  else
+    dns.save_checkpoint_parallel(path);
 }
 
 void load_as(channel_dns& dns, fmt f, const std::string& path) {
-  switch (f) {
-    case fmt::per_rank: dns.load_checkpoint(path); break;
-    case fmt::global: dns.load_checkpoint_global(path); break;
-    case fmt::parallel: dns.load_checkpoint_parallel(path); break;
-  }
+  if (f == fmt::per_rank)
+    dns.load_checkpoint(path);
+  else
+    dns.load_checkpoint_parallel(path);
 }
 
 std::vector<char> slurp(const std::string& path) {
@@ -72,14 +67,14 @@ std::vector<char> slurp(const std::string& path) {
 }
 
 /// File offset of the first payload byte of the named 24-byte-header
-/// section in a v2 per-rank (5 dims) or global (3 dims) checkpoint; 0 if
-/// absent.
+/// section in a v2 per-rank checkpoint; 0 if absent.
 std::uint64_t section_payload_offset(const std::vector<char>& bytes,
-                                     const char* name, std::size_t ndims) {
+                                     const char* name) {
   char key[8] = {};
   std::snprintf(key, sizeof(key), "%s", name);
-  // Sections start after magic + dims + time + steps + meta (two uint32s).
-  for (std::size_t pos = 8 + ndims * 8 + 8 + 8 + 2 * 4;
+  // Sections start after magic + 5 dims + time + steps + meta (two
+  // uint32s).
+  for (std::size_t pos = 8 + 5 * 8 + 8 + 8 + 2 * 4;
        pos + 24 <= bytes.size();) {
     std::uint64_t sz = 0;
     std::memcpy(&sz, bytes.data() + pos + 8, 8);
@@ -88,6 +83,11 @@ std::uint64_t section_payload_offset(const std::vector<char>& bytes,
   }
   return 0;
 }
+
+// First payload byte of a default-scenario parallel file: the header
+// (magic, 3 dims, time, steps, meta = 56 bytes) and four 24-byte section
+// table entries; c_v's payload starts here.
+constexpr std::uint64_t kParallelPayload = 56 + 4 * 24;
 
 struct fault_case {
   fmt format;
@@ -111,14 +111,13 @@ TEST_P(FaultMatrix, EveryFaultIsInvisibleOrDetected) {
     const auto good = slurp(path);
     ASSERT_FALSE(good.empty());
 
-    // Aim the fault at real payload bytes: inside the c_om section for the
-    // headered formats, inside the mode payload for the parallel layout.
+    // Aim the fault at real payload bytes: inside the c_om section of the
+    // per-rank layout, inside the c_v payload of the parallel layout.
     std::uint64_t target = 0;
     if (format == fmt::parallel) {
-      target = 152 + 64;  // v2 parallel payload origin + a mode line
+      target = kParallelPayload + 64;
     } else {
-      const std::size_t ndims = format == fmt::per_rank ? 5 : 3;
-      target = section_payload_offset(good, "c_om", ndims) + 16;
+      target = section_payload_offset(good, "c_om") + 16;
       ASSERT_GT(target, std::uint64_t{16});
     }
     if (kind == fault_kind::short_write)
@@ -161,9 +160,9 @@ TEST_P(FaultMatrix, EveryFaultIsInvisibleOrDetected) {
       const std::string what = e.what();
       if (kind == fault_kind::bit_flip) {
         EXPECT_NE(what.find("CRC mismatch"), std::string::npos) << what;
-        if (format != fmt::parallel) {
-          EXPECT_NE(what.find("c_om"), std::string::npos) << what;
-        }
+        EXPECT_NE(what.find(format == fmt::parallel ? "'c_v'" : "'c_om'"),
+                  std::string::npos)
+            << what;
       } else {
         EXPECT_TRUE(what.find("truncated") != std::string::npos ||
                     what.find("CRC mismatch") != std::string::npos)
@@ -180,9 +179,6 @@ INSTANTIATE_TEST_SUITE_P(
         fault_case{fmt::per_rank, fault_kind::short_write},
         fault_case{fmt::per_rank, fault_kind::bit_flip},
         fault_case{fmt::per_rank, fault_kind::crash_after_n},
-        fault_case{fmt::global, fault_kind::short_write},
-        fault_case{fmt::global, fault_kind::bit_flip},
-        fault_case{fmt::global, fault_kind::crash_after_n},
         fault_case{fmt::parallel, fault_kind::short_write},
         fault_case{fmt::parallel, fault_kind::bit_flip},
         fault_case{fmt::parallel, fault_kind::crash_after_n}),
@@ -223,6 +219,41 @@ TEST(Faults, FailOpenLeavesThePreviousCheckpointLoadable) {
     dns2.load_checkpoint(path);
     EXPECT_EQ(dns2.step_count(), 1);
   });
+  std::remove(path.c_str());
+}
+
+// A damaged parallel file on a 2 x 2 split: every rank verifies the shared
+// file itself, so every rank must throw — none may be left blocked in a
+// collective waiting for a rank that gave up.
+TEST(Faults, ParallelBitFlipThrowsOnEveryRank) {
+  const std::string path =
+      ::testing::TempDir() + "/pcf_fault_parallel_2x2.ckpt";
+  auto cfg = cfg_small();
+  cfg.pa = 2;
+  cfg.pb = 2;
+  {
+    fault_injection_scope fault(
+        {fault_kind::bit_flip, kParallelPayload + 64, path});
+    run_world(4, [&](communicator& world) {
+      channel_dns dns(cfg, world);
+      dns.initialize(0.1, 3);
+      dns.step();
+      dns.save_checkpoint_parallel(path);
+    });
+  }
+  std::atomic<int> thrown{0};
+  run_world(4, [&](communicator& world) {
+    channel_dns dns(cfg, world);
+    try {
+      dns.load_checkpoint_parallel(path);
+    } catch (const pcf::precondition_error& e) {
+      EXPECT_NE(std::string(e.what()).find("'c_v' CRC mismatch"),
+                std::string::npos)
+          << e.what();
+      ++thrown;
+    }
+  });
+  EXPECT_EQ(thrown.load(), 4);
   std::remove(path.c_str());
 }
 
