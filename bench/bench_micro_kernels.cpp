@@ -110,6 +110,68 @@ void BM_CompactFactorSolve(benchmark::State& state) {
 }
 BENCHMARK(BM_CompactFactorSolve)->Arg(1)->Arg(3)->Arg(5)->Arg(7);
 
+// The advance's wall-normal kernels at the Table-2 line length (n = 65,
+// degree-7 collocation, h = 7). Arg = complex lines: 1 is the per-line
+// call, 2 and 5 a lane-interleaved panel of 4 and 10 real lanes (items =
+// lines, so the per-line cost of a panel reads next to the single line).
+pcf::banded::compact_banded advance_band() {
+  const int n = 65, h = 7;
+  pcf::banded::compact_banded A(n, h);
+  pcf::rng r(5);
+  for (int i = 0; i < n; ++i) {
+    const int s = A.row_start(i);
+    for (int j = s; j <= s + 2 * h; ++j)
+      A.at(i, j) = j == i ? 4.0 : r.uniform(-0.2, 0.2);
+  }
+  return A;
+}
+
+std::vector<cplx> advance_lines(int lines, int n) {
+  pcf::rng r(6);
+  std::vector<cplx> x(static_cast<std::size_t>(lines * n));
+  for (auto& v : x) v = cplx{r.uniform(-1, 1), r.uniform(-1, 1)};
+  return x;
+}
+
+void BM_Banded_Apply(benchmark::State& state) {
+  const int lines = static_cast<int>(state.range(0));
+  const auto A = advance_band();
+  const auto x = advance_lines(lines, A.n());
+  std::vector<cplx> y(x.size());
+  const auto* xd = reinterpret_cast<const double*>(x.data());
+  auto* yd = reinterpret_cast<double*>(y.data());
+  const auto ld = static_cast<std::size_t>(2 * lines);
+  for (auto _ : state) {
+    if (lines == 1)
+      A.apply(x.data(), y.data());
+    else
+      A.apply_panel(xd, ld, yd, ld, 2 * lines);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<long>(state.iterations()) * lines);
+}
+BENCHMARK(BM_Banded_Apply)->Arg(1)->Arg(2)->Arg(5);
+
+void BM_Banded_Solve(benchmark::State& state) {
+  const int lines = static_cast<int>(state.range(0));
+  auto lu = advance_band();
+  lu.factorize();
+  auto x = advance_lines(lines, lu.n());
+  auto* xd = reinterpret_cast<double*>(x.data());
+  const auto ld = static_cast<std::size_t>(2 * lines);
+  for (auto _ : state) {
+    if (lines == 1)
+      lu.solve(x.data());
+    else
+      lu.solve_panel(xd, ld, 2 * lines);
+    benchmark::DoNotOptimize(x.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<long>(state.iterations()) * lines);
+}
+BENCHMARK(BM_Banded_Solve)->Arg(1)->Arg(2)->Arg(5);
+
 void BM_GbFactorSolve(benchmark::State& state) {
   const int n = 1024, h = static_cast<int>(state.range(0));
   pcf::banded::gb_matrix<cplx> proto(n, 2 * h, 2 * h);

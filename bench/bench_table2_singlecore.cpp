@@ -41,7 +41,8 @@ int main() {
       const double k2 = 1.0 + 0.37 * m;
       mode_solver solver(ops, 1e-4, k2);
       auto b = rhs;
-      ops.apply_rhs_operator(1e-4, k2, b.data(), work.data());
+      ops.apply_rhs_operator(1e-4, k2, pcf::core::lanes_of(b.data()), 2,
+                             pcf::core::lanes_of(work.data()), 2, 2);
       solver.solve_dirichlet(work.data());
       auto b2 = rhs;
       solver.solve_phi_v(b2.data(), c_phi.data(), c_v.data());

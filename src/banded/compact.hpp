@@ -26,6 +26,19 @@ namespace pcf::banded {
 
 using cplx = std::complex<double>;
 
+/// Lane-interleaved panels. A panel holds `lanes` independent real lines
+/// row by row: lane t of row i is p[i * ld + t] (ld >= lanes). A complex
+/// line takes two adjacent lanes (re, im), so a row of k complex lines is
+/// laid out exactly like k std::complex<double> values, and one complex
+/// line on its own is a 2-lane panel with ld = 2. Every band entry is
+/// uniform across lanes, so the panel kernels apply, per lane, the same
+/// operations in the same order as a single line would see: each line's
+/// result is bit-identical whatever panel it rides in. The band is read
+/// once for the whole panel and the lane loop is the vectorized one.
+/// Lane counts 1..10 have fixed-width kernels; wider panels (up to
+/// kMaxPanelLanes) run a runtime-width kernel.
+inline constexpr int kMaxPanelLanes = 16;
+
 /// Non-owning view of *factored* compact-band storage. The solver arena
 /// keeps many factored bands in one contiguous slab and solves through
 /// views; a view never checks or tracks factorization state, so the owner
@@ -44,6 +57,9 @@ class banded_view {
   /// Blocked multi-RHS solve; RHS r starts at x + r*stride (stride >= n).
   template <class S>
   void solve_many(S* x, int nrhs, std::size_t stride) const;
+
+  /// In-place solve of a caller-owned panel (see kMaxPanelLanes).
+  void solve_panel(double* p, std::size_t ld, int lanes) const;
 
  private:
   const double* a_ = nullptr;
@@ -93,6 +109,11 @@ class compact_banded {
   template <class S>
   void apply(const S* x, S* y) const;
 
+  /// Panel apply: y = A x lane by lane over `lanes` lanes of the panels x
+  /// (row stride ldx) and y (row stride ldy); x and y must not overlap.
+  void apply_panel(const double* x, std::size_t ldx, double* y,
+                   std::size_t ldy, int lanes) const;
+
   /// In-place LU without pivoting. Throws numerical_error on a zero pivot.
   void factorize();
   [[nodiscard]] bool factorized() const { return factorized_; }
@@ -104,13 +125,15 @@ class compact_banded {
   void solve(S* x) const;
 
   /// Solve nrhs systems; RHS r starts at x + r*stride (stride >= n when
-  /// nrhs > 1). Blocked: the factored band is streamed once per block of
-  /// up to 8 real lanes instead of once per RHS, with each complex RHS
-  /// occupying two real lanes (so the common 2-complex-RHS case fills a
-  /// 4-wide register). A single trailing RHS takes the scalar kernel and
-  /// is bit-identical to solve().
+  /// nrhs > 1). Blocked: the RHS are packed into panels of up to 8 real
+  /// lanes, each complex RHS occupying two, and the factored band is
+  /// streamed once per panel instead of once per RHS. A single trailing
+  /// RHS is solved in place as its own panel, exactly like solve().
   template <class S>
   void solve_many(S* x, int nrhs, std::size_t stride) const;
+
+  /// In-place solve of a caller-owned panel: no pack or unpack.
+  void solve_panel(double* p, std::size_t ld, int lanes) const;
 
   /// Reference multi-RHS path: one full band pass per RHS (the seed
   /// behavior, kept for benchmarking the blocked kernel against).
@@ -138,12 +161,6 @@ class compact_banded {
     return a_[static_cast<std::size_t>(i) * static_cast<std::size_t>(w_) +
               static_cast<std::size_t>(j - row_start(i))];
   }
-  [[nodiscard]] const double* row(int i) const {
-    return a_.data() + static_cast<std::size_t>(i) * static_cast<std::size_t>(w_);
-  }
-
-  template <class S>
-  void solve_one(S* x) const;
 
   template <class S>
   void solve_many_impl(S* x, int nrhs, std::size_t stride,
@@ -153,5 +170,13 @@ class compact_banded {
   std::vector<double> a_;
   bool factorized_ = false;
 };
+
+/// Fused panel apply of two unfactored bands of one shape:
+/// y = ca (A x) + cb (B x) lane by lane, both products accumulated in one
+/// pass over the rows. Per lane this is the same arithmetic as the two
+/// separate applies followed by ca * Ax + cb * Bx.
+void apply_sum_panel(double ca, const compact_banded& A, double cb,
+                     const compact_banded& B, const double* x,
+                     std::size_t ldx, double* y, std::size_t ldy, int lanes);
 
 }  // namespace pcf::banded

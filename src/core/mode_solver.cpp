@@ -51,13 +51,13 @@ void fused_solve(const wall_normal_operators& ops, banded::banded_view helm,
                  const double* v12, const double (*minv)[2], cplx* panel,
                  cplx* c_om, cplx* c_phi, cplx* c_v) {
   const auto n = static_cast<std::size_t>(ops.n());
-  // Homogeneous Dirichlet rows of both systems, then one blocked pass over
-  // the factored band for the two complex right-hand sides (4 real lanes).
-  panel[0] = panel[n - 1] = cplx{0.0, 0.0};
-  panel[n] = panel[2 * n - 1] = cplx{0.0, 0.0};
-  helm.solve_many(panel, 2, n);
-  for (std::size_t i = 0; i < n; ++i) c_om[i] = panel[i];
-  for (std::size_t i = 0; i < n; ++i) c_phi[i] = panel[n + i];
+  // Homogeneous Dirichlet rows of both systems, then one pass over the
+  // factored band for the two complex right-hand sides (4 real lanes).
+  panel[0] = panel[1] = cplx{0.0, 0.0};
+  panel[2 * n - 2] = panel[2 * n - 1] = cplx{0.0, 0.0};
+  helm.solve_panel(lanes_of(panel), 4, 4);
+  for (std::size_t i = 0; i < n; ++i) c_om[i] = panel[2 * i];
+  for (std::size_t i = 0; i < n; ++i) c_phi[i] = panel[2 * i + 1];
 
   // v particular: (A2 - k2 A0) c_v = phi(points), v(+-1) = 0.
   ops.to_points(c_phi, c_v);
@@ -246,12 +246,13 @@ void scalar_arena::solve(int m, cplx* panel, std::size_t count, cplx lo,
   PCF_REQUIRE(active(m), "scalar solve on an unbuilt or inactive mode slot");
   const auto n = static_cast<std::size_t>(n_);
   for (std::size_t r = 0; r < count; ++r) {
-    panel[r * n] = lo;
-    panel[(r + 1) * n - 1] = hi;
+    panel[r] = lo;
+    panel[(n - 1) * count + r] = hi;
   }
   banded::banded_view hv(slab_.data() + static_cast<std::size_t>(m) * be_,
                          n_, h_);
-  hv.solve_many(panel, count, n);
+  const int lanes = 2 * static_cast<int>(count);
+  hv.solve_panel(lanes_of(panel), static_cast<std::size_t>(lanes), lanes);
 }
 
 }  // namespace pcf::core

@@ -14,9 +14,8 @@
 // both walls.
 //
 // The omega and phi systems share the factored Helmholtz operator, so the
-// substep loop feeds both right-hand sides as one 2-complex-RHS panel into
-// the blocked multi-RHS solver (4 real lanes per band pass) — fused_solve()
-// below. Per-mode factored state lives either in a standalone mode_solver
+// substep loop feeds both right-hand sides as one lane-interleaved
+// 2-complex-line panel (4 real lanes per band pass) — fused_solve() below. Per-mode factored state lives either in a standalone mode_solver
 // or, for the simulation's per-substep caches, in a solver_arena that packs
 // every mode's bands and influence data into one contiguous slab.
 #pragma once
@@ -35,10 +34,10 @@ namespace pcf::core {
 
 /// Fused substep solve shared by mode_solver and solver_arena.
 ///
-/// panel is 2n contiguous complex entries: [0, n) the omega right-hand
-/// side, [n, 2n) the phi right-hand side. Boundary rows of both halves are
-/// overwritten with homogeneous Dirichlet data, then both Helmholtz systems
-/// are solved in one blocked 2-RHS pass. Outputs are spline-coefficient
+/// panel is n rows of two complex entries, lane-interleaved: panel[2i]
+/// is row i of the omega right-hand side, panel[2i + 1] row i of the phi
+/// one. Boundary rows of both are overwritten with homogeneous Dirichlet
+/// data, then both Helmholtz systems are solved in one 4-lane panel pass. Outputs are spline-coefficient
 /// vectors; the influence correction enforces v(+-1) = v'(+-1) = 0.
 /// phi12 / v12 hold the two influence solutions contiguously (solution 1
 /// at [0, n), solution 2 at [n, 2n)); minv is the inverted 2x2 influence
@@ -75,7 +74,8 @@ class mode_solver {
   void solve_phi_v(cplx* rhs_phi, cplx* c_phi, cplx* c_v) const;
 
   /// Fused omega + phi + v substep solve (see fused_solve). panel is the
-  /// 2n-entry RHS panel; bit-identical to solve_dirichlet + solve_phi_v.
+  /// interleaved 2n-entry RHS panel; bit-identical to solve_dirichlet +
+  /// solve_phi_v.
   void solve_block(cplx* panel, cplx* c_om, cplx* c_phi, cplx* c_v) const;
 
   [[nodiscard]] double k2() const { return k2_; }
@@ -179,9 +179,9 @@ class solver_arena {
 /// needs only the Dirichlet Helmholtz solve — no influence correction, no
 /// Poisson recovery — so the slab holds just the factored bands (roughly a
 /// fifth of solver_arena's storage per mode). solve() takes `count`
-/// contiguous complex right-hand sides through one blocked multi-RHS band
-/// pass (2 * count real lanes), so scalars sharing a Prandtl number share
-/// one pass. Same lifetime rules as solver_arena.
+/// lane-interleaved complex right-hand sides through one panel band pass
+/// (2 * count real lanes), so scalars sharing a Prandtl number share one
+/// pass. Same lifetime rules as solver_arena.
 class scalar_arena {
  public:
   scalar_arena() = default;
@@ -211,11 +211,12 @@ class scalar_arena {
            active_[static_cast<std::size_t>(m)] != 0;
   }
 
-  /// Dirichlet solve of `count` contiguous n-entry complex right-hand
-  /// sides for mode slot m: every RHS gets wall values lo / hi written
+  /// Dirichlet solve of `count` (<= kMaxPanelLanes / 2) n-entry complex
+  /// right-hand sides for mode slot m, lane-interleaved (RHS r's row i at
+  /// panel[i * count + r]): every RHS gets wall values lo / hi written
   /// into its boundary rows (a wall-uniform scalar's fluctuation modes use
-  /// the homogeneous defaults), then one blocked band pass covers all of
-  /// them. In place; outputs are spline-coefficient lines.
+  /// the homogeneous defaults), then one panel band pass covers all of
+  /// them. In place; outputs are spline coefficients in the same layout.
   void solve(int m, cplx* panel, std::size_t count,
              cplx lo = cplx{0.0, 0.0}, cplx hi = cplx{0.0, 0.0}) const;
 

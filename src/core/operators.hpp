@@ -18,6 +18,21 @@ namespace pcf::core {
 
 using cplx = std::complex<double>;
 
+/// Complex storage viewed as real panel lanes (re, im per value).
+inline double* lanes_of(cplx* p) { return reinterpret_cast<double*>(p); }
+inline const double* lanes_of(const cplx* p) {
+  return reinterpret_cast<const double*>(p);
+}
+
+/// Gather `count` lines of length n into a lane-interleaved panel: line f's
+/// row i lands at p[i * count + f].
+template <class S>
+void pack_panel(const S* const* lines, std::size_t count, std::size_t n,
+                S* p) {
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t f = 0; f < count; ++f) p[i * count + f] = lines[f][i];
+}
+
 class wall_normal_operators {
  public:
   /// ny = number of basis functions (collocation points); the spline space
@@ -58,6 +73,27 @@ class wall_normal_operators {
     a2_.apply(coef, values);
   }
 
+  /// Panel forms of the four operators above, over `lanes` real lanes of
+  /// lane-interleaved panels (banded/compact.hpp; a complex line takes two
+  /// lanes, lanes_of() views complex storage as lanes). Every line comes
+  /// out bit-identical to the per-line call; the band is read once per
+  /// panel. x and y must not overlap.
+  void to_coefficients(double* p, std::size_t ld, int lanes) const {
+    a0_lu_.solve_panel(p, ld, lanes);
+  }
+  void to_points(const double* x, std::size_t ldx, double* y,
+                 std::size_t ldy, int lanes) const {
+    a0_.apply_panel(x, ldx, y, ldy, lanes);
+  }
+  void deriv1_points(const double* x, std::size_t ldx, double* y,
+                     std::size_t ldy, int lanes) const {
+    a1_.apply_panel(x, ldx, y, ldy, lanes);
+  }
+  void deriv2_points(const double* x, std::size_t ldx, double* y,
+                     std::size_t ldy, int lanes) const {
+    a2_.apply_panel(x, ldx, y, ldy, lanes);
+  }
+
   /// Derivative of the spline at the walls (for the influence matrix).
   [[nodiscard]] double dspline_lower(const double* coef) const;
   [[nodiscard]] double dspline_upper(const double* coef) const;
@@ -79,13 +115,15 @@ class wall_normal_operators {
   void helmholtz_into(banded::compact_banded& M, double c, double k2) const;
   void poisson_into(banded::compact_banded& M, double k2) const;
 
-  /// y = [A0 + c (A2 - k2 A0)] x — the explicit side of the IMEX substep.
-  void apply_rhs_operator(double c, double k2, const cplx* x, cplx* y) const;
-
-  /// Same, with caller-provided scratch (length n()) so the per-mode RK3
-  /// loop does not allocate.
-  void apply_rhs_operator(double c, double k2, const cplx* x, cplx* y,
-                          cplx* scratch) const;
+  /// y = [A0 + c (A2 - k2 A0)] x — the explicit side of the IMEX substep
+  /// — over a panel: A0 x and A2 x accumulate in one pass over the rows
+  /// and combine per lane as (1 - c k2) A0x + c A2x.
+  void apply_rhs_operator(double c, double k2, const double* x,
+                          std::size_t ldx, double* y, std::size_t ldy,
+                          int lanes) const {
+    banded::apply_sum_panel(1.0 + c * (-k2), a0_, c, a2_, x, ldx, y, ldy,
+                            lanes);
+  }
 
  private:
   bspline::basis basis_;

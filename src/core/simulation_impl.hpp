@@ -31,7 +31,7 @@ struct channel_dns::impl {
   pencil::decomp d;
   // The workspace must be constructed before the pencil kernel (which
   // permanently checks its transpose/FFT buffers out of the transform
-  // lane) and before the stages (permanent shared-/thread-lane checkouts).
+  // lane) and before the stages (permanent shared-lane checkouts).
   field_workspace ws;
   pencil::parallel_fft pf;
   wall_normal_operators ops;
@@ -105,7 +105,7 @@ struct channel_dns::impl {
   /// workspace slab back (to the block pool when pooled, to the OS when
   /// owned). Evolved state, statistics and timers are untouched. Legal
   /// only at a step boundary; the permanent workspace checkouts (pencil
-  /// ping-pong buffers, hU/hW, CFL maxima, solve panels) are all
+  /// ping-pong buffers, hU/hW, CFL maxima) are all
   /// contents-dead there — each is zero-filled or fully rewritten before
   /// its next read.
   void suspend() {
@@ -120,8 +120,8 @@ struct channel_dns::impl {
   /// re-establish every permanent checkout in construction order, so each
   /// lands at its construction offset on the new base: transform lane —
   /// pf's ping-pong buffers; shared lane — field_state's hU/hW then the
-  /// nonlinear stage's CFL maxima; thread lanes — the implicit solve
-  /// panels. Solver arenas rebuild lazily on the next step (the dt-change
+  /// nonlinear stage's CFL maxima (the thread lanes hold only transient
+  /// scopes). Solver arenas rebuild lazily on the next step (the dt-change
   /// path already proves that bit-identical).
   void resume() {
     if (!suspended_) return;
@@ -129,7 +129,6 @@ struct channel_dns::impl {
     pf.rebind_workspace();
     state.rebind_workspace(ws);
     nonlinear.rebind_workspace();
-    implicit.rebind_workspace();
     suspended_ = false;
   }
 

@@ -10,7 +10,6 @@ implicit_stage::implicit_stage(stage_context& ctx, phase_timer::id parent)
     : ctx_(ctx),
       ph_run_(ctx.timers.add("implicit", parent)),
       ph_build_(ctx.timers.add("build", ph_run_)) {
-  const std::size_t n = ctx.modes.n;
   // Group scalars by Prandtl number (first-occurrence order) so scalars
   // with equal diffusivity share one factored operator and one blocked
   // multi-RHS pass per mode.
@@ -43,10 +42,6 @@ implicit_stage::implicit_stage(stage_context& ctx, phase_timer::id parent)
       }
   }
   for (auto& a : sc_arena_) a.resize(groups_.size());
-
-  panels_.resize(ctx.ws.num_thread_lanes());
-  for (std::size_t t = 0; t < panels_.size(); ++t)
-    panels_[t] = ctx.ws.thread(t).alloc<cplx>((3 + scalars.size()) * n);
 }
 
 void implicit_stage::invalidate() {
@@ -59,13 +54,6 @@ void implicit_stage::drop_arenas() {
   for (auto& a : arena_) a.reset();
   for (auto& v : sc_arena_)
     for (auto& a : v) a.reset();
-}
-
-void implicit_stage::rebind_workspace() {
-  const std::size_t n = ctx_.modes.n;
-  for (std::size_t t = 0; t < panels_.size(); ++t)
-    panels_[t] = ctx_.ws.thread(t).alloc<cplx>(
-        (3 + ctx_.cfg.scenario.scalars.size()) * n);
 }
 
 void implicit_stage::run(int i) {
@@ -103,11 +91,15 @@ void implicit_stage::run(int i) {
 
   std::atomic<int> tid_counter{0};
   ctx_.pool.run(mt.nmodes, [&](std::size_t mb, std::size_t me) {
-    // Per-thread scratch: 2n-entry RHS panel (omega then phi) plus n for
-    // the RHS-operator apply — no allocation inside the substep loop.
+    // Transient per-thread panels: x gathers the lines the RHS operator
+    // reads, rhs receives the right-hand sides and is solved in place.
     const auto tid = static_cast<std::size_t>(tid_counter.fetch_add(1));
-    cplx* panel = panels_[tid];
-    cplx* tmp = panel + 2 * n;
+    workspace_lane::scope scratch(ctx_.ws.thread(tid));
+    auto& lane = ctx_.ws.thread(tid);
+    const std::size_t width =
+        std::max<std::size_t>(2, std::min(order_.size(), kPanelLines));
+    cplx* x = lane.alloc<cplx>(width * n);
+    cplx* rhs = lane.alloc<cplx>(width * n);
     static thread_local std::unique_ptr<mode_solver> uncached;
     for (std::size_t m = mb; m < me; ++m) {
       if (mt.skip[m]) {
@@ -122,64 +114,75 @@ void implicit_stage::run(int i) {
         continue;
       }
       const double k2 = mt.k2s[m];
-      // Assemble both right-hand sides of the fused solve: omega in
-      // panel rows [0, n), phi in rows [n, 2n).
-      ops.apply_rhs_operator(ca, k2, st.line(st.c_om, m), panel, tmp);
+      // Both right-hand sides of the fused solve as one 4-lane panel
+      // (omega, phi): the RHS operator in one pass, then the explicit
+      // nonlinear terms per entry.
+      const cplx* om_phi[2] = {st.line(st.c_om, m), st.line(st.c_phi, m)};
+      pack_panel(om_phi, 2, n, x);
+      ops.apply_rhs_operator(ca, k2, lanes_of(x), 4, lanes_of(rhs), 4, 4);
       const cplx* hgm = st.line(hg, m);
       cplx* hgp = st.line(st.hg_prev, m);
-      for (std::size_t j = 0; j < n; ++j)
-        panel[j] += g * hgm[j] + z * hgp[j];
-      ops.apply_rhs_operator(ca, k2, st.line(st.c_phi, m), panel + n, tmp);
       const cplx* hvm = st.line(hv, m);
       cplx* hvp = st.line(st.hv_prev, m);
-      for (std::size_t j = 0; j < n; ++j)
-        panel[n + j] += g * hvm[j] + z * hvp[j];
-      // One blocked 2-RHS Helmholtz solve covers omega and phi, then the
-      // Poisson recovery of v with the influence correction.
+      for (std::size_t j = 0; j < n; ++j) {
+        rhs[2 * j] += g * hgm[j] + z * hgp[j];
+        rhs[2 * j + 1] += g * hvm[j] + z * hvp[j];
+      }
+      // One 4-lane Helmholtz solve covers omega and phi, then the Poisson
+      // recovery of v with the influence correction.
       if (ctx_.cfg.cache_solvers) {
-        arena_[i].solve_block(static_cast<int>(m), panel,
-                              st.line(st.c_om, m), st.line(st.c_phi, m),
-                              st.line(st.c_v, m));
+        arena_[i].solve_block(static_cast<int>(m), rhs, st.line(st.c_om, m),
+                              st.line(st.c_phi, m), st.line(st.c_v, m));
       } else {
         uncached = std::make_unique<mode_solver>(ops, cb, k2);
-        uncached->solve_block(panel, st.line(st.c_om, m),
-                              st.line(st.c_phi, m), st.line(st.c_v, m));
+        uncached->solve_block(rhs, st.line(st.c_om, m), st.line(st.c_phi, m),
+                              st.line(st.c_v, m));
       }
       // Save nonlinear history for the next substep.
       std::copy_n(hgm, n, hgp);
       std::copy_n(hvm, n, hvp);
-      // Passive scalars: assemble every scalar's diffusive RHS into its
-      // panel row, then one blocked multi-RHS band pass per Prandtl group
-      // (homogeneous Dirichlet — wall values live entirely in the mean).
+      // Passive scalars: per Prandtl group, up to kPanelLines scalars at a
+      // time ride one panel through the RHS operator and one panel band
+      // pass (homogeneous Dirichlet — wall values live in the mean).
       for (std::size_t gi = 0; gi < groups_.size(); ++gi) {
         const scalar_group& grp = groups_[gi];
         const double cas = rk3::kAlpha[i] * ctx_.cfg.dt * grp.kappa;
-        cplx* rows = panel + (3 + grp.start) * n;
-        for (std::size_t r = 0; r < grp.count; ++r) {
-          auto& sc = st.scalars[order_[grp.start + r]];
-          cplx* row = rows + r * n;
-          ops.apply_rhs_operator(cas, k2, st.line(sc.c_th, m), row, tmp);
-          const cplx* hm = st.line(sc.th_s, m);
-          cplx* hp = st.line(sc.hth_prev, m);
-          for (std::size_t j = 0; j < n; ++j)
-            row[j] += g * hm[j] + z * hp[j];
-          std::copy_n(hm, n, hp);
-        }
-        if (ctx_.cfg.cache_solvers) {
-          sc_arena_[i][gi].solve(static_cast<int>(m), rows, grp.count);
-        } else {
-          const double cbs = rk3::kBeta[i] * ctx_.cfg.dt * grp.kappa;
-          banded::compact_banded Hs = ops.helmholtz(cbs, k2);
-          Hs.factorize();
-          for (std::size_t r = 0; r < grp.count; ++r) {
-            rows[r * n] = cplx{0, 0};
-            rows[(r + 1) * n - 1] = cplx{0, 0};
+        for (std::size_t r0 = 0; r0 < grp.count; r0 += kPanelLines) {
+          const std::size_t cnt = std::min(kPanelLines, grp.count - r0);
+          const int lanes = 2 * static_cast<int>(cnt);
+          const std::size_t* idx = order_.data() + grp.start + r0;
+          const cplx* th[kPanelLines];
+          for (std::size_t r = 0; r < cnt; ++r)
+            th[r] = st.line(st.scalars[idx[r]].c_th, m);
+          pack_panel(th, cnt, n, x);
+          ops.apply_rhs_operator(cas, k2, lanes_of(x), lanes, lanes_of(rhs),
+                                 lanes, lanes);
+          for (std::size_t r = 0; r < cnt; ++r) {
+            auto& sc = st.scalars[idx[r]];
+            const cplx* hm = st.line(sc.th_s, m);
+            cplx* hp = st.line(sc.hth_prev, m);
+            for (std::size_t j = 0; j < n; ++j)
+              rhs[j * cnt + r] += g * hm[j] + z * hp[j];
+            std::copy_n(hm, n, hp);
           }
-          Hs.solve_many(rows, static_cast<int>(grp.count), n);
+          if (ctx_.cfg.cache_solvers) {
+            sc_arena_[i][gi].solve(static_cast<int>(m), rhs, cnt);
+          } else {
+            const double cbs = rk3::kBeta[i] * ctx_.cfg.dt * grp.kappa;
+            banded::compact_banded Hs = ops.helmholtz(cbs, k2);
+            Hs.factorize();
+            for (std::size_t r = 0; r < cnt; ++r) {
+              rhs[r] = cplx{0, 0};
+              rhs[(n - 1) * cnt + r] = cplx{0, 0};
+            }
+            Hs.solve_panel(lanes_of(rhs), static_cast<std::size_t>(lanes),
+                           lanes);
+          }
+          for (std::size_t r = 0; r < cnt; ++r) {
+            cplx* c_th = st.line(st.scalars[idx[r]].c_th, m);
+            for (std::size_t j = 0; j < n; ++j) c_th[j] = rhs[j * cnt + r];
+          }
         }
-        for (std::size_t r = 0; r < grp.count; ++r)
-          std::copy_n(rows + r * n, n,
-                      st.line(st.scalars[order_[grp.start + r]].c_th, m));
       }
     }
   });

@@ -37,52 +37,77 @@ void nonlinear_stage::compute_velocities() {
   auto& st = ctx_.state;
   const auto& ops = ctx_.ops;
   const std::size_t n = mt.n;
+  const std::size_t nsc = st.scalars.size();
   std::atomic<int> tid_counter{0};
   ctx_.pool.run(mt.nmodes, [&](std::size_t mb, std::size_t me) {
     const auto tid = static_cast<std::size_t>(tid_counter.fetch_add(1));
     workspace_lane::scope scratch(ctx_.ws.thread(tid));
-    cplx* dv = ctx_.ws.thread(tid).alloc<cplx>(n);
-    cplx* om = ctx_.ws.thread(tid).alloc<cplx>(n);
-    double* pts = ctx_.ws.thread(tid).alloc<double>(n);
+    auto& lane = ctx_.ws.thread(tid);
+    // Lane-interleaved panels: x gathers coefficient lines, y receives
+    // their point values, dv the wall-normal derivative of v.
+    cplx* x = lane.alloc<cplx>(kPanelLines * n);
+    cplx* y = lane.alloc<cplx>(kPanelLines * n);
+    cplx* dv = lane.alloc<cplx>(n);
     for (std::size_t m = mb; m < me; ++m) {
       cplx* us = st.line(st.u_s, m);
       cplx* vs = st.line(st.v_s, m);
       cplx* ws = st.line(st.w_s, m);
-      // Scalars at the collocation points (the mean profile rides the
-      // mean mode's line, exactly like U / W below).
-      for (auto& sc : st.scalars) {
-        cplx* ths = st.line(sc.th_s, m);
-        if (mt.skip[m]) {
-          std::fill_n(ths, n, cplx{0, 0});
-          if (mt.has_mean && m == mt.mean_idx) {
-            ops.to_points(sc.c_T.data(), pts);
-            for (std::size_t i = 0; i < n; ++i) ths[i] = pts[i];
-          }
-        } else {
-          ops.to_points(st.line(sc.c_th, m), ths);
-        }
-      }
       if (mt.skip[m]) {
         std::fill_n(us, n, cplx{0, 0});
         std::fill_n(vs, n, cplx{0, 0});
         std::fill_n(ws, n, cplx{0, 0});
+        for (auto& sc : st.scalars)
+          std::fill_n(st.line(sc.th_s, m), n, cplx{0, 0});
         if (mt.has_mean && m == mt.mean_idx) {
-          ops.to_points(st.c_U.data(), pts);
-          for (std::size_t i = 0; i < n; ++i) us[i] = pts[i];
-          ops.to_points(st.c_W.data(), pts);
-          for (std::size_t i = 0; i < n; ++i) ws[i] = pts[i];
+          // The real mean profiles U, W (and each scalar's) at the points
+          // ride the mean mode's lines, one real lane each.
+          double* xr = lanes_of(x);
+          double* yr = lanes_of(y);
+          const double* prof[2 + kMaxScalars] = {st.c_U.data(),
+                                                 st.c_W.data()};
+          for (std::size_t s = 0; s < nsc; ++s)
+            prof[2 + s] = st.scalars[s].c_T.data();
+          const std::size_t cnt = 2 + nsc;
+          pack_panel(prof, cnt, n, xr);
+          ops.to_points(xr, cnt, yr, cnt, static_cast<int>(cnt));
+          for (std::size_t i = 0; i < n; ++i) {
+            us[i] = yr[i * cnt];
+            ws[i] = yr[i * cnt + 1];
+          }
+          for (std::size_t s = 0; s < nsc; ++s) {
+            cplx* ths = st.line(st.scalars[s].th_s, m);
+            for (std::size_t i = 0; i < n; ++i) ths[i] = yr[i * cnt + 2 + s];
+          }
         }
         continue;
       }
+      // Scalars at the collocation points, up to kPanelLines per panel.
+      for (std::size_t s0 = 0; s0 < nsc; s0 += kPanelLines) {
+        const std::size_t cnt = std::min(kPanelLines, nsc - s0);
+        const int lanes = 2 * static_cast<int>(cnt);
+        const cplx* th[kPanelLines];
+        for (std::size_t r = 0; r < cnt; ++r)
+          th[r] = st.line(st.scalars[s0 + r].c_th, m);
+        pack_panel(th, cnt, n, x);
+        ops.to_points(lanes_of(x), lanes, lanes_of(y), lanes, lanes);
+        for (std::size_t r = 0; r < cnt; ++r) {
+          cplx* ths = st.line(st.scalars[s0 + r].th_s, m);
+          for (std::size_t i = 0; i < n; ++i) ths[i] = y[i * cnt + r];
+        }
+      }
+      // v and omega at the points in one 4-lane pass, v' from v's lanes.
+      const cplx* v_om[2] = {st.line(st.c_v, m), st.line(st.c_om, m)};
+      pack_panel(v_om, 2, n, x);
+      ops.to_points(lanes_of(x), 4, lanes_of(y), 4, 4);
+      ops.deriv1_points(lanes_of(x), 4, lanes_of(dv), 2, 2);
       const double k2 = mt.kx[m] * mt.kx[m] + mt.kz[m] * mt.kz[m];
-      ops.deriv1_points(st.line(st.c_v, m), dv);
-      ops.to_points(st.line(st.c_om, m), om);
-      ops.to_points(st.line(st.c_v, m), vs);
       const cplx ikx{0.0, mt.kx[m] / k2};
       const cplx ikz{0.0, mt.kz[m] / k2};
       for (std::size_t i = 0; i < n; ++i) {
-        us[i] = ikx * dv[i] - ikz * om[i];
-        ws[i] = ikz * dv[i] + ikx * om[i];
+        const cplx om = y[2 * i + 1];
+        vs[i] = y[2 * i];
+        us[i] = ikx * dv[i] - ikz * om;
+        ws[i] = ikz * dv[i] + ikx * om;
       }
     }
   });
@@ -191,106 +216,98 @@ void nonlinear_stage::assemble() {
     const auto tid = static_cast<std::size_t>(tid_counter.fetch_add(1));
     workspace_lane::scope scratch(ctx_.ws.thread(tid));
     auto& lane = ctx_.ws.thread(tid);
-    cplx* c1 = lane.alloc<cplx>(n);
-    cplx* c2 = lane.alloc<cplx>(n);
-    cplx* c3 = lane.alloc<cplx>(n);
-    cplx* c4 = lane.alloc<cplx>(n);
-    cplx* c5 = lane.alloc<cplx>(n);
-    cplx* d1 = lane.alloc<cplx>(n);
-    cplx* d2a = lane.alloc<cplx>(n);
-    cplx* d3 = lane.alloc<cplx>(n);
-    cplx* d4a = lane.alloc<cplx>(n);
-    cplx* d5 = lane.alloc<cplx>(n);
-    cplx* d2b = lane.alloc<cplx>(n);
-    cplx* d4b = lane.alloc<cplx>(n);
-    // Two extra lines for the scalar flux derivative, reused across the
-    // scalars of a mode (they are assembled sequentially).
-    cplx* csc = nsc > 0 ? lane.alloc<cplx>(n) : nullptr;
-    cplx* dsc = nsc > 0 ? lane.alloc<cplx>(n) : nullptr;
+    // One mode's products as a lane-interleaved panel, q2 and q4 first so
+    // their second derivative reads lanes 0..3: c holds the spline
+    // coefficients, d1 their first and d2 (q2, q4 only) their second
+    // derivative at the points.
+    cplx* c = lane.alloc<cplx>(kPanelLines * n);
+    cplx* d1 = lane.alloc<cplx>(kPanelLines * n);
+    cplx* d2 = lane.alloc<cplx>(2 * n);
+    // Spline coefficients of `cnt` point-value lines, then d/dy at the
+    // points: d1[i * cnt + f] is line f's derivative at point i.
+    auto derive = [&](const cplx* const* lines, std::size_t cnt) {
+      const int lanes = 2 * static_cast<int>(cnt);
+      pack_panel(lines, cnt, n, c);
+      ops.to_coefficients(lanes_of(c), lanes, lanes);
+      ops.deriv1_points(lanes_of(c), lanes, lanes_of(d1), lanes, lanes);
+    };
     for (std::size_t m = mb; m < me; ++m) {
       cplx* hvm = st.line(hv, m);
       cplx* hgm = st.line(hg, m);
       // Scalar right-hand sides h_theta = -(i kx (u th)^ + d(v th)^/dy +
       // i kz (w th)^), assembled into th_s (free once the products are
       // formed, mirroring h_v / h_g into u_s / v_s); the mean mode feeds
-      // <H_theta> = -d<v theta>/dy into hT.
-      for (auto& sc : st.scalars) {
-        cplx* hthm = st.line(sc.th_s, m);
-        if (mt.skip[m]) {
-          std::fill_n(hthm, n, cplx{0, 0});
-          if (mt.has_mean && m == mt.mean_idx) {
-            std::copy_n(st.line(sc.qv, m), n, csc);
-            ops.to_coefficients(csc);
-            ops.deriv1_points(csc, dsc);
-            for (std::size_t i = 0; i < n; ++i) sc.hT[i] = -dsc[i].real();
+      // <H_theta> = -d<v theta>/dy into hT. The v-fluxes ride panels of
+      // up to kPanelLines scalars.
+      const bool is_mean = mt.has_mean && m == mt.mean_idx;
+      if (mt.skip[m])
+        for (auto& sc : st.scalars)
+          std::fill_n(st.line(sc.th_s, m), n, cplx{0, 0});
+      if (!mt.skip[m] || is_mean) {
+        for (std::size_t s0 = 0; s0 < nsc; s0 += kPanelLines) {
+          const std::size_t cnt = std::min(kPanelLines, nsc - s0);
+          const cplx* qv[kPanelLines];
+          for (std::size_t r = 0; r < cnt; ++r)
+            qv[r] = st.line(st.scalars[s0 + r].qv, m);
+          derive(qv, cnt);
+          for (std::size_t r = 0; r < cnt; ++r) {
+            auto& sc = st.scalars[s0 + r];
+            if (mt.skip[m]) {
+              for (std::size_t i = 0; i < n; ++i)
+                sc.hT[i] = -d1[i * cnt + r].real();
+              continue;
+            }
+            cplx* hthm = st.line(sc.th_s, m);
+            const cplx ikxs{0.0, mt.kx[m]};
+            const cplx ikzs{0.0, mt.kz[m]};
+            const cplx* pu = st.line(sc.qu, m);
+            const cplx* pw = st.line(sc.qw, m);
+            for (std::size_t i = 0; i < n; ++i)
+              hthm[i] = -(ikxs * pu[i] + d1[i * cnt + r] + ikzs * pw[i]);
           }
-          continue;
         }
-        std::copy_n(st.line(sc.qv, m), n, csc);
-        ops.to_coefficients(csc);
-        ops.deriv1_points(csc, dsc);
-        const cplx ikxs{0.0, mt.kx[m]};
-        const cplx ikzs{0.0, mt.kz[m]};
-        const cplx* pu = st.line(sc.qu, m);
-        const cplx* pw = st.line(sc.qw, m);
-        for (std::size_t i = 0; i < n; ++i)
-          hthm[i] = -(ikxs * pu[i] + dsc[i] + ikzs * pw[i]);
       }
+      const cplx* p1 = st.line(st.q1, m);
+      const cplx* p2 = st.line(st.q2, m);
+      const cplx* p3 = st.line(st.q3, m);
+      const cplx* p4 = st.line(st.q4, m);
+      const cplx* p5 = st.line(st.q5, m);
       if (mt.skip[m]) {
         std::fill_n(hvm, n, cplx{0, 0});
         std::fill_n(hgm, n, cplx{0, 0});
-        if (mt.has_mean && m == mt.mean_idx) {
+        if (is_mean) {
           // <H1> = -d<uv>/dy, <H3> = -d<vw>/dy (real parts of mode 0).
-          std::copy_n(st.line(st.q2, m), n, c2);
-          std::copy_n(st.line(st.q4, m), n, c4);
-          ops.to_coefficients(c2);
-          ops.to_coefficients(c4);
-          ops.deriv1_points(c2, d2a);
-          ops.deriv1_points(c4, d4a);
+          const cplx* q24[2] = {p2, p4};
+          derive(q24, 2);
           for (std::size_t i = 0; i < n; ++i) {
-            st.hU[i] = -d2a[i].real();
-            st.hW[i] = -d4a[i].real();
+            st.hU[i] = -d1[2 * i].real();
+            st.hW[i] = -d1[2 * i + 1].real();
           }
         }
         continue;
       }
       const double kxm = mt.kx[m], kzm = mt.kz[m];
       const double k2 = kxm * kxm + kzm * kzm;
-      std::copy_n(st.line(st.q1, m), n, c1);
-      std::copy_n(st.line(st.q2, m), n, c2);
-      std::copy_n(st.line(st.q3, m), n, c3);
-      std::copy_n(st.line(st.q4, m), n, c4);
-      std::copy_n(st.line(st.q5, m), n, c5);
-      ops.to_coefficients(c1);
-      ops.to_coefficients(c2);
-      ops.to_coefficients(c3);
-      ops.to_coefficients(c4);
-      ops.to_coefficients(c5);
-      ops.deriv1_points(c1, d1);
-      ops.deriv1_points(c2, d2a);
-      ops.deriv1_points(c3, d3);
-      ops.deriv1_points(c4, d4a);
-      ops.deriv1_points(c5, d5);
-      ops.deriv2_points(c2, d2b);
-      ops.deriv2_points(c4, d4b);
+      const cplx* q[kPanelLines] = {p2, p4, p1, p3, p5};
+      derive(q, kPanelLines);
+      ops.deriv2_points(lanes_of(c), 2 * kPanelLines, lanes_of(d2), 4, 4);
       const cplx i_unit{0.0, 1.0};
-      const cplx* p1 = st.line(st.q1, m);
-      const cplx* p2 = st.line(st.q2, m);
-      const cplx* p3 = st.line(st.q3, m);
-      const cplx* p4 = st.line(st.q4, m);
-      const cplx* p5 = st.line(st.q5, m);
       for (std::size_t i = 0; i < n; ++i) {
+        const cplx* di = d1 + i * kPanelLines;
+        const cplx d2a = di[0], d4a = di[1], dd1 = di[2], d3 = di[3],
+                   d5 = di[4];
+        const cplx d2b = d2[2 * i], d4b = d2[2 * i + 1];
         // h_g = kx kz (f1 - f5) + (kz^2 - kx^2) f3
         //       - i kz d(f2)/dy + i kx d(f4)/dy
         hgm[i] = kxm * kzm * (p1[i] - p5[i]) +
                  (kzm * kzm - kxm * kxm) * p3[i] -
-                 i_unit * kzm * d2a[i] + i_unit * kxm * d4a[i];
+                 i_unit * kzm * d2a + i_unit * kxm * d4a;
         // h_v = i k2 (kx f2 + kz f4) - d/dy [ kx^2 f1 + 2 kx kz f3
         //       + kz^2 f5 - i kx d(f2)/dy - i kz d(f4)/dy ]
         hvm[i] = i_unit * k2 * (kxm * p2[i] + kzm * p4[i]) -
-                 (kxm * kxm * d1[i] + 2.0 * kxm * kzm * d3[i] +
-                  kzm * kzm * d5[i] - i_unit * kxm * d2b[i] -
-                  i_unit * kzm * d4b[i]);
+                 (kxm * kxm * dd1 + 2.0 * kxm * kzm * d3 +
+                  kzm * kzm * d5 - i_unit * kxm * d2b -
+                  i_unit * kzm * d4b);
       }
     }
   });

@@ -181,17 +181,13 @@ field_workspace::sizes dns_workspace_sizes(const channel_config& c,
                  + 16 * n * sizeof(double)
                  + 8 * nbins * sizeof(double)
                  + 40 * kAlignment;
-  // Thread lanes. Permanent: the implicit stage's (3 + S)n-complex solve
-  // panel (omega/phi rows, operator scratch, one RHS row per passive
-  // scalar). Deepest transient scope: the nonlinear assembly's 12 complex
-  // lines (c1..c5, d1, d2a, d3, d4a, d5, d2b, d4b) plus 2 more when
-  // scalars are configured; the velocity sub-stage needs 2 complex + 1
-  // real line, well under that.
-  const std::size_t nsc = c.scenario.scalars.size();
-  s.thread_bytes = (3 + nsc) * n * sizeof(cplx)
-                 + (12 + (nsc > 0 ? 2 : 0)) * n * sizeof(cplx)
-                 + n * sizeof(double)
-                 + (20 + 2 * nsc) * kAlignment;
+  // Thread lanes hold only transient scopes of lane-interleaved panels
+  // (kPanelLines complex lines wide). Deepest: the nonlinear assembly's
+  // coefficient and first-derivative panels plus the 2-line second-
+  // derivative panel (12 lines). The velocity sub-stage needs two panels
+  // and one line (11), the implicit stage two panels (<= 10).
+  s.thread_bytes = (2 * kPanelLines + 2) * n * sizeof(cplx)
+                 + 4 * kAlignment;
   s.transform_bytes = pencil::transform_workspace_bytes(d, dns_kernel_config(c));
   return s;
 }

@@ -42,6 +42,11 @@ inline constexpr double kGamma[3] = {8.0 / 15.0, 5.0 / 12.0, 3.0 / 4.0};
 inline constexpr double kZeta[3] = {0.0, -17.0 / 60.0, -5.0 / 12.0};
 }  // namespace rk3
 
+/// Complex lines per lane-interleaved panel in the per-mode advance: the
+/// five nonlinear products of one mode (10 real lanes, the widest
+/// fixed-width panel kernel). Scalar lines ride panels of up to this many.
+inline constexpr std::size_t kPanelLines = 5;
+
 /// Pencil-kernel configuration for the DNS: batch wide enough for the five
 /// nonlinear products of an RK3 substep to ride one aggregated exchange
 /// per transpose stage, with pipelining taken from the run configuration.

@@ -117,8 +117,11 @@ TEST(Operators, RhsOperatorIsConsistentWithHelmholtz) {
   std::vector<cplx> x(n), plus(n), a0x(n);
   for (std::size_t i = 0; i < n; ++i)
     x[i] = cplx{std::sin(0.1 * i), std::cos(0.2 * i)};
-  ops.apply_rhs_operator(c, k2, x.data(), plus.data());
-  ops.apply_rhs_operator(-c, k2, x.data(), a0x.data());
+  using pcf::core::lanes_of;
+  ops.apply_rhs_operator(c, k2, lanes_of(x.data()), 2, lanes_of(plus.data()),
+                         2, 2);
+  ops.apply_rhs_operator(-c, k2, lanes_of(x.data()), 2, lanes_of(a0x.data()),
+                         2, 2);
   std::vector<cplx> avg(n), direct(n);
   for (std::size_t i = 0; i < n; ++i) avg[i] = 0.5 * (plus[i] + a0x[i]);
   ops.to_points(x.data(), direct.data());

@@ -18,7 +18,9 @@
 #include "core/stages/mean_flow_stage.hpp"
 #include "core/stages/nonlinear_stage.hpp"
 #include "core/stages/stage_context.hpp"
+#include "util/counters.hpp"
 #include "util/crc.hpp"
+#include "util/rng.hpp"
 
 // ---------------------------------------------------------------------------
 // Counting allocator: replaces the global operator new for this binary so a
@@ -138,7 +140,8 @@ struct stage_harness {
         ops(c.ny, c.degree, c.stretch),
         pool(std::max(1, c.advance_threads)),
         modes(make_mode_tables(c, d)),
-        state(modes, d.x_pencil_real_elems(), ws),
+        state(modes, d.x_pencil_real_elems(), ws,
+              c.scenario.scalars.size()),
         timers(world.size() == 1),
         ph_step(timers.add("step")),
         ctx{cfg,   d,     ops, pf, pool,  world,
@@ -508,6 +511,151 @@ TEST(Stages, SuspendResumeCyclesReproduceGoldenCheckpointHash) {
     EXPECT_EQ(pcf::crc32(buf.data(), buf.size()), 0x3fa23d27u);
     std::remove(path.c_str());
   });
+}
+
+// ---------------------------------------------------------------------------
+// Bit-exact pins of the per-mode advance work. Each pin is the CRC-32 of
+// every output field of one sub-stage (compute_velocities, assemble, or
+// three chained implicit substeps) on the quickstart grid, from seeded
+// inputs, with 0 and 1 passive scalars. The values were recorded from the
+// per-line operator calls these stages made before they were blocked into
+// lane-interleaved panels; any change to the arithmetic order of any line
+// moves them.
+
+channel_config pin_config(std::size_t nscalars) {
+  channel_config cfg;
+  cfg.nx = 16;
+  cfg.nz = 16;
+  cfg.ny = 33;
+  cfg.re_tau = 180.0;
+  cfg.dt = 1e-4;
+  for (std::size_t s = 0; s < nscalars; ++s)
+    cfg.scenario.scalars.push_back({0.71, 0.0, 1.0});
+  return cfg;
+}
+
+void seed(pcf::aligned_buffer<cplx>& b, pcf::rng& r) {
+  for (auto& v : b) v = cplx{r.uniform(-1, 1), r.uniform(-1, 1)};
+}
+void seed(std::vector<double>& v, pcf::rng& r) {
+  for (auto& x : v) x = r.uniform(-1, 1);
+}
+
+std::uint32_t fold(std::uint32_t crc, const pcf::aligned_buffer<cplx>& b) {
+  return pcf::crc32_update(crc, b.data(), b.size() * sizeof(cplx));
+}
+std::uint32_t fold(std::uint32_t crc, const double* v, std::size_t n) {
+  return pcf::crc32_update(crc, v, n * sizeof(double));
+}
+
+struct stage_pins {
+  std::uint32_t velocities, assemble, implicit;
+};
+
+stage_pins run_stage_pins(std::size_t nscalars) {
+  stage_pins pins{};
+  run_world(1, [&](communicator& world) {
+    stage_harness h(pin_config(nscalars), world);
+    auto& st = h.state;
+    const std::size_t n = h.modes.n;
+    pcf::rng r(0x5eed0000u + nscalars);
+
+    seed(st.c_v, r);
+    seed(st.c_om, r);
+    seed(st.c_U, r);
+    seed(st.c_W, r);
+    for (auto& sc : st.scalars) {
+      seed(sc.c_th, r);
+      seed(sc.c_T, r);
+    }
+    h.nonlinear.compute_velocities();
+    std::uint32_t crc = pcf::crc32_init();
+    crc = fold(crc, st.u_s);
+    crc = fold(crc, st.v_s);
+    crc = fold(crc, st.w_s);
+    for (auto& sc : st.scalars) crc = fold(crc, sc.th_s);
+    pins.velocities = pcf::crc32_final(crc);
+
+    for (auto* q : {&st.q1, &st.q2, &st.q3, &st.q4, &st.q5}) seed(*q, r);
+    for (auto& sc : st.scalars) {
+      seed(sc.qu, r);
+      seed(sc.qv, r);
+      seed(sc.qw, r);
+    }
+    h.nonlinear.assemble();
+    crc = pcf::crc32_init();
+    crc = fold(crc, st.u_s);
+    crc = fold(crc, st.v_s);
+    crc = fold(crc, st.hU, n);
+    crc = fold(crc, st.hW, n);
+    for (auto& sc : st.scalars) {
+      crc = fold(crc, sc.th_s);
+      crc = fold(crc, sc.hT.data(), n);
+    }
+    pins.assemble = pcf::crc32_final(crc);
+
+    for (auto* b : {&st.c_v, &st.c_om, &st.c_phi, &st.u_s, &st.v_s,
+                    &st.hv_prev, &st.hg_prev})
+      seed(*b, r);
+    for (auto& sc : st.scalars) {
+      seed(sc.c_th, r);
+      seed(sc.th_s, r);
+      seed(sc.hth_prev, r);
+    }
+    for (int i = 0; i < 3; ++i) h.implicit.run(i);
+    crc = pcf::crc32_init();
+    for (auto* b : {&st.c_v, &st.c_om, &st.c_phi, &st.hv_prev, &st.hg_prev})
+      crc = fold(crc, *b);
+    for (auto& sc : st.scalars) {
+      crc = fold(crc, sc.c_th);
+      crc = fold(crc, sc.hth_prev);
+    }
+    pins.implicit = pcf::crc32_final(crc);
+  });
+  return pins;
+}
+
+TEST(Stages, AdvanceOutputPinsNoScalars) {
+  const stage_pins p = run_stage_pins(0);
+  EXPECT_EQ(p.velocities, 0x2328a068u);
+  EXPECT_EQ(p.assemble, 0x65ff9e4bu);
+  EXPECT_EQ(p.implicit, 0x982b46f7u);
+}
+
+TEST(Stages, AdvanceOutputPinsOneScalar) {
+  const stage_pins p = run_stage_pins(1);
+  EXPECT_EQ(p.velocities, 0x4f213e37u);
+  EXPECT_EQ(p.assemble, 0xbe9de664u);
+  EXPECT_EQ(p.implicit, 0x9fd00078u);
+}
+
+TEST(Stages, StepFlopCountIsPinned) {
+  // The flop model charges per line; blocking lines into panels must not
+  // change the count of one quickstart step (bytes may drop: a panel reads
+  // each band once).
+  run_world(1, [&](communicator& world) {
+    channel_dns dns(pin_config(0), world);
+    dns.initialize(0.1, 1);
+    dns.step();  // builds the solver arenas
+    pcf::counters::drain();
+    pcf::counters::reset();
+    dns.step();
+    pcf::counters::drain();
+    EXPECT_EQ(pcf::counters::total().flops, 24255000u);
+  });
+}
+
+TEST(Stages, ThreadLaneBytesDoNotGrow) {
+  // Per-thread workspace capacity on the quickstart grid, S = 0, 1, 2
+  // scalars, may not exceed the values of the per-line advance.
+  const std::size_t per_line_lanes[3] = {9464, 11176, 11832};
+  for (std::size_t s = 0; s < 3; ++s) {
+    run_world(1, [&](communicator& world) {
+      stage_harness h(pin_config(s), world);
+      const auto sizes = dns_workspace_sizes(h.cfg, h.d);
+      EXPECT_LE(sizes.thread_bytes, per_line_lanes[s]) << s << " scalars";
+    });
+  }
 }
 
 TEST(Stages, ObservablesResumeASuspendedSimulation) {
