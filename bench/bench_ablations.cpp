@@ -11,6 +11,7 @@
 
 #include "bench_common.hpp"
 #include "core/simulation.hpp"
+#include "pencil/autotune.hpp"
 #include "pencil/pencil.hpp"
 #include "util/aligned.hpp"
 
@@ -158,16 +159,24 @@ int main() {
 
   // E. Exchange strategy (paper Section 4.3): FFTW's transpose planner
   // picks between MPI_Alltoall and pairwise MPI_Sendrecv; here both run
-  // on the virtual-MPI runtime at 8 ranks, plus the auto planner's pick.
+  // fixed on the virtual-MPI runtime at 8 ranks, plus the autotuner's
+  // per-communicator pick.
   {
     grid ge{32, 16, 32};
-    auto cycle = [&](exchange_strategy strat, exchange_strategy* picked) {
+    // Round-trip time on a 4 x 2 cart. With `tuned` set, the config comes
+    // from autotune_transforms (no cache file) and is reported there.
+    auto cycle = [&](exchange_strategy strat, kernel_config* tuned) {
       double out = 0;
       std::mutex m;
       pcf::vmpi::run_world(8, [&](pcf::vmpi::communicator& world) {
         pcf::vmpi::cart2d cart(world, 4, 2);
         kernel_config cfg;
-        cfg.strategy = strat;
+        cfg.strategy_a = strat;
+        cfg.strategy_b = strat;
+        if (tuned != nullptr)
+          cfg = apply_tuning(
+              cfg, autotune_transforms(ge, world, cart, cfg, tune_options{})
+                       .choice);
         parallel_fft pf(ge, cart, cfg);
         const auto& d = pf.dec();
         pcf::aligned_buffer<cplx> spec(d.y_pencil_elems(), cplx{0.1, 0.0});
@@ -181,24 +190,25 @@ int main() {
         if (world.rank() == 0) {
           std::lock_guard<std::mutex> lk(m);
           out = t.seconds() / reps;
-          if (picked) *picked = pf.strategy_a();
+          if (tuned != nullptr) *tuned = cfg;
         }
       });
       return out;
     };
     const double ta = cycle(exchange_strategy::alltoall, nullptr);
     const double tp = cycle(exchange_strategy::pairwise, nullptr);
-    exchange_strategy pick{};
-    const double tu = cycle(exchange_strategy::auto_plan, &pick);
+    kernel_config pick;
+    const double tu = cycle(exchange_strategy::alltoall, &pick);
+    auto name = [](exchange_strategy s) {
+      return s == exchange_strategy::pairwise ? "pairwise" : "alltoall";
+    };
     std::printf("\nE. transpose exchange strategy (8 virtual ranks, grid "
                 "%zu x %zu x %zu):\n", ge.nx, ge.ny, ge.nz);
     pcf::text_table te({"Strategy", "Round trip"});
     te.add_row({"alltoall", pcf::text_table::fmt_time(ta)});
     te.add_row({"pairwise sendrecv", pcf::text_table::fmt_time(tp)});
-    te.add_row({std::string("auto plan (picked ") +
-                    (pick == exchange_strategy::pairwise ? "pairwise"
-                                                         : "alltoall") +
-                    " for CommA)",
+    te.add_row({std::string("autotuned (CommA ") + name(pick.strategy_a) +
+                    ", CommB " + name(pick.strategy_b) + ")",
                 pcf::text_table::fmt_time(tu)});
     std::fputs(te.str().c_str(), stdout);
     std::printf("paper Section 4.3: FFTW mostly picks MPI_alltoall for "

@@ -154,56 +154,42 @@ int main(int argc, char** argv) {
                   rep.stranded_blocks == 0;
 
   if (!fast) {
-    std::FILE* f = std::fopen("BENCH_campaign.json", "w");
-    if (f != nullptr) {
-      std::fprintf(f,
-                   "{\n"
-                   "  \"bench\": \"campaign\",\n"
-                   "  \"grid\": [16, 33, 16],\n"
-                   "  \"runs\": %d,\n"
-                   "  \"steps_per_run\": %ld,\n"
-                   "  \"workers\": %d,\n"
-                   "  \"slice_steps\": %d,\n"
-                   "  \"max_resident\": %d,\n",
-                   runs, steps, cfg.workers, cfg.slice_steps,
-                   cfg.max_resident);
-      std::fprintf(f,
-                   "  \"single_run\": {\"seconds\": %.4f, \"peak_blocks\": "
-                   "%llu, \"rss_mb\": %.1f},\n",
-                   solo_s, static_cast<unsigned long long>(solo_peak_blocks),
-                   solo_rss_kb / 1024.0);
-      std::fprintf(
-          f,
-          "  \"campaign\": {\n"
-          "    \"elapsed_s\": %.4f,\n"
-          "    \"runs_per_s\": %.3f,\n"
-          "    \"speedup_over_solo_serial\": %.3f,\n"
-          "    \"total_steps\": %ld,\n"
-          "    \"evictions\": %llu,\n"
-          "    \"readmissions\": %llu,\n"
-          "    \"peak_blocks\": %llu,\n"
-          "    \"peak_over_single_run\": %.3f,\n"
-          "    \"peak_bound\": 8,\n"
-          "    \"within_bound\": %s,\n"
-          "    \"rss_mb\": %.1f,\n"
-          "    \"plan_cache\": {\"hits\": %llu, \"misses\": %llu, "
-          "\"hit_rate\": %.3f},\n"
-          "    \"tuning_memo\": {\"hits\": %llu, \"misses\": %llu, "
-          "\"hit_rate\": %.3f},\n"
-          "    \"stranded_blocks\": %llu\n"
-          "  }\n"
-          "}\n",
-          rep.elapsed_s, runs_per_s, speedup, rep.total_steps,
-          static_cast<unsigned long long>(rep.evictions),
-          static_cast<unsigned long long>(rep.readmissions),
-          static_cast<unsigned long long>(campaign_peak_blocks), peak_ratio,
-          peak_ratio < 8.0 ? "true" : "false", campaign_rss_kb / 1024.0,
-          static_cast<unsigned long long>(rep.plan_cache_hits),
-          static_cast<unsigned long long>(rep.plan_cache_misses), plan_rate,
-          static_cast<unsigned long long>(rep.tuning_memo_hits),
-          static_cast<unsigned long long>(rep.tuning_memo_misses), memo_rate,
-          static_cast<unsigned long long>(rep.stranded_blocks));
-      std::fclose(f);
+    pcf::bench::json_writer w("BENCH_campaign.json");
+    if (w) {
+      w.object();
+      w.key("bench").str("campaign");
+      w.key("grid").array(true).integer(16).integer(33).integer(16).end();
+      w.key("runs").integer(runs).key("steps_per_run").integer(steps);
+      w.key("workers").integer(cfg.workers);
+      w.key("slice_steps").integer(cfg.slice_steps);
+      w.key("max_resident").integer(cfg.max_resident);
+      w.key("single_run").object(true);
+      w.key("seconds").num(solo_s, "%.4f");
+      w.key("peak_blocks").integer(solo_peak_blocks);
+      w.key("rss_mb").num(solo_rss_kb / 1024.0, "%.1f").end();
+      w.key("campaign").object();
+      w.key("elapsed_s").num(rep.elapsed_s, "%.4f");
+      w.key("runs_per_s").num(runs_per_s, "%.3f");
+      w.key("speedup_over_solo_serial").num(speedup, "%.3f");
+      w.key("total_steps").integer(rep.total_steps);
+      w.key("evictions").integer(rep.evictions);
+      w.key("readmissions").integer(rep.readmissions);
+      w.key("peak_blocks").integer(campaign_peak_blocks);
+      w.key("peak_over_single_run").num(peak_ratio, "%.3f");
+      w.key("peak_bound").integer(8);
+      w.key("within_bound").boolean(peak_ratio < 8.0);
+      w.key("rss_mb").num(campaign_rss_kb / 1024.0, "%.1f");
+      w.key("plan_cache").object(true);
+      w.key("hits").integer(rep.plan_cache_hits);
+      w.key("misses").integer(rep.plan_cache_misses);
+      w.key("hit_rate").num(plan_rate, "%.3f").end();
+      w.key("tuning_memo").object(true);
+      w.key("hits").integer(rep.tuning_memo_hits);
+      w.key("misses").integer(rep.tuning_memo_misses);
+      w.key("hit_rate").num(memo_rate, "%.3f").end();
+      w.key("stranded_blocks").integer(rep.stranded_blocks);
+      w.end();
+      w.end();
       std::printf("wrote BENCH_campaign.json\n");
     }
   }

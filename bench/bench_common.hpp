@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "util/table.hpp"
 #include "util/timer.hpp"
@@ -39,5 +40,108 @@ inline void print_header(const char* table, const char* description) {
   std::printf("%s — %s\n", table, description);
   std::printf("==============================================================\n");
 }
+
+/// Minimal JSON emitter for the bench result files: objects, arrays,
+/// keys, numbers, strings and bools, indented two spaces per level. A
+/// container opened `flat` (and everything inside it) stays on one line,
+/// one table row per line. Inside an object every value follows key().
+/// Check the writer after construction: a file that cannot be opened is
+/// reported on stderr and yields a false writer.
+class json_writer {
+ public:
+  explicit json_writer(const char* path) : f_(std::fopen(path, "w")) {
+    if (f_ == nullptr) std::perror(path);
+  }
+  ~json_writer() {
+    if (f_ == nullptr) return;
+    std::fputc('\n', f_);
+    std::fclose(f_);
+  }
+  json_writer(const json_writer&) = delete;
+  json_writer& operator=(const json_writer&) = delete;
+  explicit operator bool() const { return f_ != nullptr; }
+
+  json_writer& object(bool flat = false) { return open('{', '}', flat); }
+  json_writer& array(bool flat = false) { return open('[', ']', flat); }
+  json_writer& end() {
+    const frame fr = stack_.back();
+    stack_.pop_back();
+    if (!fr.flat && !fr.first) newline();
+    std::fputc(fr.close, f_);
+    return *this;
+  }
+
+  json_writer& key(const std::string& k) {
+    item();
+    quoted(k.c_str());
+    std::fputs(": ", f_);
+    keyed_ = true;
+    return *this;
+  }
+  json_writer& num(double v, const char* fmt = "%.6e") {
+    item();
+    std::fprintf(f_, fmt, v);
+    return *this;
+  }
+  template <class I>
+  json_writer& integer(I v) {
+    item();
+    std::fputs(std::to_string(v).c_str(), f_);
+    return *this;
+  }
+  json_writer& str(const std::string& s) {
+    item();
+    quoted(s.c_str());
+    return *this;
+  }
+  json_writer& boolean(bool b) {
+    item();
+    std::fputs(b ? "true" : "false", f_);
+    return *this;
+  }
+
+ private:
+  struct frame {
+    char close;
+    bool flat;
+    bool first;
+  };
+
+  json_writer& open(char o, char c, bool flat) {
+    item();
+    std::fputc(o, f_);
+    stack_.push_back({c, flat || (!stack_.empty() && stack_.back().flat),
+                      true});
+    return *this;
+  }
+  // Separator and line break before a value or key; a value that follows
+  // its key gets none.
+  void item() {
+    if (keyed_ || stack_.empty()) {
+      keyed_ = false;
+      return;
+    }
+    frame& fr = stack_.back();
+    if (!fr.first) std::fputs(fr.flat ? ", " : ",", f_);
+    if (!fr.flat) newline();
+    fr.first = false;
+  }
+  void newline() {
+    std::fputc('\n', f_);
+    for (std::size_t i = 0; i < stack_.size(); ++i) std::fputs("  ", f_);
+  }
+  void quoted(const char* s) {
+    std::fputc('"', f_);
+    for (; *s != '\0'; ++s) {
+      if (*s == '"' || *s == '\\') std::fputc('\\', f_);
+      std::fputc(*s, f_);
+    }
+    std::fputc('"', f_);
+  }
+
+  std::FILE* f_;
+  std::vector<frame> stack_;
+  bool keyed_ = false;
+};
 
 }  // namespace pcf::bench

@@ -128,48 +128,39 @@ void write_json(const char* path, const job_config& jbase,
                 const std::vector<scan_row>& scan,
                 const std::vector<crossover>& crossings,
                 const std::vector<measured_row>& measured) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::perror(path);
-    return;
+  pcf::bench::json_writer w(path);
+  if (!w) return;
+  w.object();
+  w.key("bench").str("decomp_crossover");
+  w.key("machine").str("gpu_fattree_2026");
+  w.key("grid").array(true).integer(jbase.nx).integer(jbase.ny);
+  w.integer(jbase.nz).end();
+  w.key("scan").array();
+  for (const auto& r : scan) {
+    w.object(true).key("ranks").integer(r.ranks);
+    w.key("fastest").str(kind_name(r.fastest));
+    for (const auto& d : r.by_kind)
+      if (d.valid)
+        w.key(std::string(kind_name(d.kind)) + "_s").num(d.t.total());
+    w.end();
   }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"bench\": \"decomp_crossover\",\n");
-  std::fprintf(f, "  \"machine\": \"gpu_fattree_2026\",\n");
-  std::fprintf(f, "  \"grid\": [%zu, %zu, %zu],\n", jbase.nx, jbase.ny,
-               jbase.nz);
-  std::fprintf(f, "  \"scan\": [\n");
-  for (std::size_t i = 0; i < scan.size(); ++i) {
-    const auto& r = scan[i];
-    std::fprintf(f, "    {\"ranks\": %ld, \"fastest\": \"%s\"", r.ranks,
-                 kind_name(r.fastest));
-    for (const auto& d : r.by_kind) {
-      if (!d.valid) continue;
-      std::fprintf(f, ", \"%s_s\": %.6e", kind_name(d.kind), d.t.total());
-    }
-    std::fprintf(f, "}%s\n", i + 1 < scan.size() ? "," : "");
+  w.end();
+  w.key("crossovers").array();
+  for (const auto& c : crossings) {
+    w.object(true).key("ranks").integer(c.ranks);
+    w.key("from").str(kind_name(c.from)).key("to").str(kind_name(c.to));
+    w.end();
   }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"crossovers\": [\n");
-  for (std::size_t i = 0; i < crossings.size(); ++i)
-    std::fprintf(f, "    {\"ranks\": %ld, \"from\": \"%s\", \"to\": \"%s\"}%s\n",
-                 crossings[i].ranks, kind_name(crossings[i].from),
-                 kind_name(crossings[i].to),
-                 i + 1 < crossings.size() ? "," : "");
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"measured\": [\n");
-  for (std::size_t i = 0; i < measured.size(); ++i) {
-    const auto& r = measured[i];
-    std::fprintf(f,
-                 "    {\"kind\": \"%s\", \"pa\": %d, \"pb\": %d, "
-                 "\"seconds\": %.6e, \"exchanges\": %llu}%s\n",
-                 pcf::pencil::to_string(r.plan.kind), r.plan.pa, r.plan.pb,
-                 r.seconds, static_cast<unsigned long long>(r.exchanges),
-                 i + 1 < measured.size() ? "," : "");
+  w.end();
+  w.key("measured").array();
+  for (const auto& r : measured) {
+    w.object(true).key("kind").str(pcf::pencil::to_string(r.plan.kind));
+    w.key("pa").integer(r.plan.pa).key("pb").integer(r.plan.pb);
+    w.key("seconds").num(r.seconds).key("exchanges").integer(r.exchanges);
+    w.end();
   }
-  std::fprintf(f, "  ]\n");
-  std::fprintf(f, "}\n");
-  std::fclose(f);
+  w.end();
+  w.end();
 }
 
 }  // namespace

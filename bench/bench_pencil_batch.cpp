@@ -179,58 +179,42 @@ struct config_report {
 
 void write_json(const char* path, int reps,
                 const std::vector<config_report>& reports) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::perror("BENCH_pencil.json");
-    return;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"bench\": \"pencil_batch\",\n");
-  std::fprintf(f, "  \"reps\": %d,\n", reps);
-  std::fprintf(f, "  \"substage\": \"3x to_physical + 5x to_spectral\",\n");
-  std::fprintf(f, "  \"configs\": [\n");
-  for (std::size_t c = 0; c < reports.size(); ++c) {
-    const auto& rep = reports[c];
+  pcf::bench::json_writer w(path);
+  if (!w) return;
+  w.object();
+  w.key("bench").str("pencil_batch");
+  w.key("reps").integer(reps);
+  w.key("substage").str("3x to_physical + 5x to_spectral");
+  w.key("configs").array();
+  for (const auto& rep : reports) {
     const auto& rs = rep.rs;
-    std::fprintf(f, "    {\n");
-    std::fprintf(f, "      \"label\": \"%s\",\n", rep.bc.label.c_str());
-    std::fprintf(f, "      \"grid\": [%zu, %zu, %zu],\n", rep.bc.g.nx,
-                 rep.bc.g.ny, rep.bc.g.nz);
-    std::fprintf(f, "      \"ranks\": %d, \"pa\": %d, \"pb\": %d,\n",
-                 rep.bc.pa * rep.bc.pb, rep.bc.pa, rep.bc.pb);
-    std::fprintf(f, "      \"dealias\": %s,\n",
-                 rep.bc.dealias ? "true" : "false");
-    std::fprintf(f,
-                 "      \"tuned_choice\": {\"strat_a\": \"%s\", \"strat_b\": "
-                 "\"%s\", \"batch\": %d, \"pipeline_depth\": %d},\n",
-                 strategy_name(rep.tuned.strat_a),
-                 strategy_name(rep.tuned.strat_b), rep.tuned.batch,
-                 rep.tuned.pipeline_depth);
-    std::fprintf(f, "      \"modes\": [\n");
-    for (std::size_t i = 0; i < rs.size(); ++i) {
-      const auto& r = rs[i];
-      std::fprintf(
-          f,
-          "        {\"name\": \"%s\", \"total_s\": %.6e, \"comm_s\": %.6e, "
-          "\"reorder_s\": %.6e, \"fft_s\": %.6e, \"exchanges\": %llu, "
-          "\"alltoall_calls\": %llu}%s\n",
-          r.name.c_str(), r.total, r.comm, r.reorder, r.fft,
-          static_cast<unsigned long long>(r.exchanges),
-          static_cast<unsigned long long>(r.alltoall_calls),
-          i + 1 < rs.size() ? "," : "");
+    w.object();
+    w.key("label").str(rep.bc.label);
+    w.key("grid").array(true).integer(rep.bc.g.nx).integer(rep.bc.g.ny);
+    w.integer(rep.bc.g.nz).end();
+    w.key("ranks").integer(rep.bc.pa * rep.bc.pb);
+    w.key("pa").integer(rep.bc.pa).key("pb").integer(rep.bc.pb);
+    w.key("dealias").boolean(rep.bc.dealias);
+    w.key("tuned_choice").object(true);
+    w.key("strat_a").str(strategy_name(rep.tuned.strat_a));
+    w.key("strat_b").str(strategy_name(rep.tuned.strat_b));
+    w.key("batch").integer(rep.tuned.batch);
+    w.key("pipeline_depth").integer(rep.tuned.pipeline_depth).end();
+    w.key("modes").array();
+    for (const auto& r : rs) {
+      w.object(true).key("name").str(r.name).key("total_s").num(r.total);
+      w.key("comm_s").num(r.comm).key("reorder_s").num(r.reorder);
+      w.key("fft_s").num(r.fft).key("exchanges").integer(r.exchanges);
+      w.key("alltoall_calls").integer(r.alltoall_calls).end();
     }
-    std::fprintf(f, "      ],\n");
-    std::fprintf(f, "      \"speedup_batched\": %.4f,\n",
-                 rs[0].total / rs[1].total);
-    std::fprintf(f, "      \"speedup_pipelined\": %.4f,\n",
-                 rs[0].total / rs[2].total);
-    std::fprintf(f, "      \"speedup_autotuned\": %.4f\n",
-                 rs[0].total / rs[3].total);
-    std::fprintf(f, "    }%s\n", c + 1 < reports.size() ? "," : "");
+    w.end();
+    w.key("speedup_batched").num(rs[0].total / rs[1].total, "%.4f");
+    w.key("speedup_pipelined").num(rs[0].total / rs[2].total, "%.4f");
+    w.key("speedup_autotuned").num(rs[0].total / rs[3].total, "%.4f");
+    w.end();
   }
-  std::fprintf(f, "  ]\n");
-  std::fprintf(f, "}\n");
-  std::fclose(f);
+  w.end();
+  w.end();
 }
 
 }  // namespace

@@ -65,25 +65,21 @@ struct rhs_case {
 
 void write_json(const char* path, int n, bool fast,
                 const std::vector<rhs_case>& cases) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::perror(path);
-    return;
+  pcf::bench::json_writer w(path);
+  if (!w) return;
+  w.object();
+  w.key("bench").str("banded_multi_rhs");
+  w.key("n").integer(n).key("fast").boolean(fast);
+  w.key("cases").array();
+  for (const rhs_case& c : cases) {
+    w.object(true).key("h").integer(c.h).key("nrhs").integer(c.r);
+    w.key("scalar_per_rhs").num(c.scalar, "%.3e");
+    w.key("blocked_per_rhs").num(c.blocked, "%.3e");
+    w.key("vector_per_rhs").num(c.vec, "%.3e");
+    w.key("gb_per_rhs").num(c.gb, "%.3e").end();
   }
-  std::fprintf(f, "{\n  \"bench\": \"banded_multi_rhs\",\n");
-  std::fprintf(f, "  \"n\": %d,\n  \"fast\": %s,\n  \"cases\": [\n", n,
-               fast ? "true" : "false");
-  for (std::size_t i = 0; i < cases.size(); ++i) {
-    const rhs_case& c = cases[i];
-    std::fprintf(f,
-                 "    {\"h\": %d, \"nrhs\": %d, \"scalar_per_rhs\": %.3e, "
-                 "\"blocked_per_rhs\": %.3e, \"vector_per_rhs\": %.3e, "
-                 "\"gb_per_rhs\": %.3e}%s\n",
-                 c.h, c.r, c.scalar, c.blocked, c.vec, c.gb,
-                 i + 1 < cases.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
+  w.end();
+  w.end();
 }
 
 }  // namespace

@@ -206,53 +206,41 @@ interleave_result measure_interleave(int sims, int cycles) {
 void write_json(const char* path, const std::vector<lease_point>& lease,
                 double owned_s, double pooled_s, const cycle_result& cyc,
                 int cyc_cycles, const interleave_result& il) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::perror(path);
-    return;
+  pcf::bench::json_writer w(path);
+  if (!w) return;
+  w.object();
+  w.key("bench").str("workspace");
+  w.key("grid").array(true).integer(16).integer(33).integer(16).end();
+  w.key("lease_latency").array();
+  for (const auto& p : lease) {
+    w.object(true).key("bytes").integer(p.bytes);
+    w.key("cached_ns").num(p.cached_ns, "%.1f");
+    w.key("uncached_ns").num(p.uncached_ns, "%.1f");
+    w.key("pool_lease_ns").num(p.pool_lease_ns, "%.1f").end();
   }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"bench\": \"workspace\",\n");
-  std::fprintf(f, "  \"grid\": [16, 33, 16],\n");
-  std::fprintf(f, "  \"lease_latency\": [\n");
-  for (std::size_t i = 0; i < lease.size(); ++i) {
-    const auto& p = lease[i];
-    std::fprintf(f,
-                 "    {\"bytes\": %zu, \"cached_ns\": %.1f, "
-                 "\"uncached_ns\": %.1f, \"pool_lease_ns\": %.1f}%s\n",
-                 p.bytes, p.cached_ns, p.uncached_ns, p.pool_lease_ns,
-                 i + 1 < lease.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"advance\": {\n");
-  std::fprintf(f, "    \"owned_s_per_step\": %.6e,\n", owned_s);
-  std::fprintf(f, "    \"pooled_s_per_step\": %.6e,\n", pooled_s);
-  std::fprintf(f, "    \"pooled_over_owned\": %.4f,\n", pooled_s / owned_s);
-  std::fprintf(f, "    \"bound\": 1.02,\n");
-  std::fprintf(f, "    \"within_bound\": %s\n",
-               pooled_s / owned_s <= 1.02 ? "true" : "false");
-  std::fprintf(f, "  },\n");
-  std::fprintf(f, "  \"suspend_resume\": {\n");
-  std::fprintf(f, "    \"cycles\": %d,\n", cyc_cycles);
-  std::fprintf(f, "    \"suspend_us\": %.2f,\n", cyc.suspend_us);
-  std::fprintf(f, "    \"resume_us\": %.2f,\n", cyc.resume_us);
-  std::fprintf(f, "    \"pool_cache_hits\": %llu\n",
-               static_cast<unsigned long long>(cyc.cache_hits));
-  std::fprintf(f, "  },\n");
-  std::fprintf(f, "  \"interleave\": {\n");
-  std::fprintf(f, "    \"sims\": %d,\n", il.sims);
-  std::fprintf(f, "    \"cycles\": %d,\n", il.cycles);
-  std::fprintf(f, "    \"footprint_blocks\": %llu,\n",
-               static_cast<unsigned long long>(il.footprint_blocks));
-  std::fprintf(f, "    \"peak_blocks\": %llu,\n",
-               static_cast<unsigned long long>(il.peak_blocks));
-  std::fprintf(f, "    \"peak_over_footprint\": %.3f,\n", il.ratio);
-  std::fprintf(f, "    \"bound\": %d,\n", il.sims);
-  std::fprintf(f, "    \"within_bound\": %s\n",
-               il.ratio < static_cast<double>(il.sims) ? "true" : "false");
-  std::fprintf(f, "  }\n");
-  std::fprintf(f, "}\n");
-  std::fclose(f);
+  w.end();
+  w.key("advance").object();
+  w.key("owned_s_per_step").num(owned_s);
+  w.key("pooled_s_per_step").num(pooled_s);
+  w.key("pooled_over_owned").num(pooled_s / owned_s, "%.4f");
+  w.key("bound").num(1.02, "%.2f");
+  w.key("within_bound").boolean(pooled_s / owned_s <= 1.02);
+  w.end();
+  w.key("suspend_resume").object();
+  w.key("cycles").integer(cyc_cycles);
+  w.key("suspend_us").num(cyc.suspend_us, "%.2f");
+  w.key("resume_us").num(cyc.resume_us, "%.2f");
+  w.key("pool_cache_hits").integer(cyc.cache_hits);
+  w.end();
+  w.key("interleave").object();
+  w.key("sims").integer(il.sims).key("cycles").integer(il.cycles);
+  w.key("footprint_blocks").integer(il.footprint_blocks);
+  w.key("peak_blocks").integer(il.peak_blocks);
+  w.key("peak_over_footprint").num(il.ratio, "%.3f");
+  w.key("bound").integer(il.sims);
+  w.key("within_bound").boolean(il.ratio < static_cast<double>(il.sims));
+  w.end();
+  w.end();
 }
 
 }  // namespace

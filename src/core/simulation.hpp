@@ -162,10 +162,10 @@ struct channel_config {
   std::string tuning_cache;
 
   // Exchange strategy per transpose communicator (CommA = z<->x, CommB =
-  // y<->z). auto_plan defers to the kernel default (alltoall) or, with
-  // `autotune`, to the measured winner.
-  pencil::exchange_strategy strategy_a = pencil::exchange_strategy::auto_plan;
-  pencil::exchange_strategy strategy_b = pencil::exchange_strategy::auto_plan;
+  // y<->z). Written only by resolve_tuning (the measured winners under
+  // `autotune`); otherwise alltoall.
+  pencil::exchange_strategy strategy_a = pencil::exchange_strategy::alltoall;
+  pencil::exchange_strategy strategy_b = pencil::exchange_strategy::alltoall;
 
   // Scenario layer: wall BC values, forcing mode, passive scalars. The
   // default is the classical channel and changes nothing.

@@ -363,147 +363,108 @@ const tune_entry* find_tuning_entry(const std::vector<tune_entry>& entries,
   return nullptr;
 }
 
-tune_report autotune_transforms(const grid& g, vmpi::communicator& world,
-                                vmpi::cart2d& cart, const kernel_config& base,
-                                const tune_options& opt) {
-  tune_report rep;
-  rep.key = make_tune_key(g, base, cart.pa(), cart.pb());
-  const bool root = world.rank() == 0;
+namespace {
 
-  // Consult the caches on rank 0 and broadcast the verdict so every rank
-  // takes the same branch (measurement is collective). Memo first — a
-  // published hit costs no file I/O, and a miss makes this call the key's
-  // owner (concurrent callers of the same key block until we publish).
-  std::uint32_t hit[5] = {0, 0, 0, 0, 0};  // hit[0]: 0 miss, 1 file, 2 memo
-  std::vector<tune_entry> entries;
+// Workload mirroring one RK3 nonlinear substage: 3 fields down to
+// physical space, 5 products back up.
+constexpr std::size_t kDown = 3, kUp = 5;
+
+/// Best-of-`reps` wall time of one substage on `pf` after an untimed
+/// warm-up, max-reduced over `world` so every rank holds the same value
+/// (and a deterministic argmin over these picks identically everywhere).
+double time_substage(parallel_fft& pf, int reps, vmpi::communicator& world) {
+  const decomp& dd = pf.dec();
+  std::vector<std::vector<cplx>> spec(kUp);
+  std::vector<std::vector<double>> phys(kUp);
+  const cplx* sdown[kDown];
+  double* pdown[kDown];
+  const double* pup[kUp];
+  cplx* sup[kUp];
+  for (std::size_t f = 0; f < kUp; ++f) {
+    spec[f].assign(dd.y_pencil_elems(), cplx{0.0, 0.0});
+    phys[f].assign(dd.x_pencil_real_elems(), 0.0);
+    pup[f] = phys[f].data();
+    sup[f] = spec[f].data();
+    if (f < kDown) {
+      sdown[f] = spec[f].data();
+      pdown[f] = phys[f].data();
+    }
+  }
+  auto substage = [&] {
+    pf.to_physical_batch(sdown, pdown, kDown);
+    pf.to_spectral_batch(pup, sup, kUp);
+  };
+  substage();
+  double local = std::numeric_limits<double>::infinity();
+  for (int r = 0; r < std::max(1, reps); ++r) {
+    wall_timer t;
+    substage();
+    local = std::min(local, t.seconds());
+  }
+  double agreed = 0.0;
+  world.allreduce_max(&local, &agreed, 1);
+  return agreed;
+}
+
+/// The consult -> measure -> store path both entry points share. Rank 0
+/// consults the memo, then the file (a memo miss makes this call the key's
+/// owner: concurrent callers of the key block until it publishes), and
+/// broadcasts the verdict as the packed cache entry, so every rank takes
+/// the same branch. A hit `fits` accepts is returned as is; otherwise the
+/// collective `measure()` decides, rank 0 merges the choice into the file
+/// and, once every rank is past the store, publishes it to the memo.
+template <class Report, class Fits, class Measure>
+tune_choice consult_measure_store(vmpi::communicator& world,
+                                  const tune_options& opt, Report& rep,
+                                  Fits fits, Measure measure) {
+  const bool root = world.rank() == 0;
   memo_ownership own;
   if (!opt.cache_path.empty()) {
+    // msg[0]: 0 miss, 1 file hit, 2 memo hit; then pack_entry's words.
+    std::uint32_t msg[kPayloadWords + 2] = {};
     if (root) {
       tune_choice mc;
       if (memo_lookup_or_begin(opt.cache_path, rep.key, opt.force_retune,
                                mc)) {
-        hit[0] = 2;
-        hit[1] = encode_strategy(mc.strat_a);
-        hit[2] = encode_strategy(mc.strat_b);
-        hit[3] = static_cast<std::uint32_t>(mc.batch);
-        hit[4] = static_cast<std::uint32_t>(mc.pipeline_depth);
+        msg[0] = 2;
+        pack_entry({rep.key, mc}, msg + 1);
       } else {
         own.arm(opt.cache_path, rep.key);
         std::lock_guard<std::mutex> flk(cache_file_mutex(opt.cache_path));
-        entries = load_tuning_cache(opt.cache_path, &rep.warnings);
+        const std::vector<tune_entry> entries =
+            load_tuning_cache(opt.cache_path, &rep.warnings);
         const tune_entry* e = find_tuning_entry(entries, rep.key);
         if (e != nullptr && !opt.force_retune) {
-          hit[0] = 1;
-          hit[1] = encode_strategy(e->choice.strat_a);
-          hit[2] = encode_strategy(e->choice.strat_b);
-          hit[3] = static_cast<std::uint32_t>(e->choice.batch);
-          hit[4] = static_cast<std::uint32_t>(e->choice.pipeline_depth);
+          msg[0] = 1;
+          pack_entry(*e, msg + 1);
         }
       }
     }
-    world.bcast(hit, 5, 0);
-  }
-  if (hit[0] != 0) {
-    rep.from_cache = true;
-    rep.from_memo = hit[0] == 2;
-    decode_strategy(hit[1], rep.choice.strat_a);
-    decode_strategy(hit[2], rep.choice.strat_b);
-    rep.choice.batch = static_cast<int>(hit[3]);
-    rep.choice.pipeline_depth = static_cast<int>(hit[4]);
-    if (root && own.armed) own.publish(rep.choice);  // seed memo from file
-    return rep;
-  }
-
-  // Resolve the exchange strategies once, on the batch-scaled exchanges
-  // (plan_strategies measures with max_batch-wide counts and max-reduces).
-  tune_choice chosen;
-  {
-    kernel_config probe = base;
-    probe.strategy = exchange_strategy::auto_plan;
-    probe.strategy_a = exchange_strategy::auto_plan;
-    probe.strategy_b = exchange_strategy::auto_plan;
-    probe.pipeline_depth = 1;
-    parallel_fft pf(g, cart, probe);
-    chosen.strat_a = pf.strategy_a();
-    chosen.strat_b = pf.strategy_b();
-    // plan_strategies agrees within each sub-communicator group, but the
-    // cart has pa CommB groups (and pb CommA groups) that can resolve
-    // differently; the tuned choice is global, so rank 0's wins.
-    std::uint32_t sb[2] = {encode_strategy(chosen.strat_a),
-                           encode_strategy(chosen.strat_b)};
-    world.bcast(sb, 2, 0);
-    decode_strategy(sb[0], chosen.strat_a);
-    decode_strategy(sb[1], chosen.strat_b);
-  }
-
-  // Workload mirroring one RK3 nonlinear substage: 3 fields down to
-  // physical space, 5 products back up.
-  const decomp dd(g, base, cart.pa(), cart.pb(), cart.coord_a(),
-                  cart.coord_b());
-  constexpr std::size_t kDown = 3, kUp = 5;
-  std::vector<std::vector<cplx>> spec(kUp);
-  std::vector<std::vector<double>> phys(kUp);
-  for (std::size_t f = 0; f < kUp; ++f) {
-    spec[f].assign(dd.y_pencil_elems(), cplx{0.0, 0.0});
-    phys[f].assign(dd.x_pencil_real_elems(), 0.0);
-  }
-
-  const int reps = std::max(1, opt.reps);
-  double best_time = std::numeric_limits<double>::infinity();
-  const int fcand[3] = {1, 3, 5};
-  for (int F : fcand) {
-    if (F > std::max(1, base.max_batch)) continue;
-    for (int depth = 1; depth <= 2; ++depth) {
-      if (depth > F) continue;  // a group per field at most
-      parallel_fft pf(g, cart,
-                      apply_tuning(base, {chosen.strat_a, chosen.strat_b, F,
-                                          depth}));
-      const cplx* sdown[kDown];
-      double* pdown[kDown];
-      const double* pup[kUp];
-      cplx* sup[kUp];
-      for (std::size_t f = 0; f < kDown; ++f) {
-        sdown[f] = spec[f].data();
-        pdown[f] = phys[f].data();
+    world.bcast(msg, kPayloadWords + 2, 0);
+    if (msg[0] != 0) {
+      tune_entry hit;
+      std::string why;
+      if (unpack_entry(msg + 1, hit, why) && fits(hit.choice)) {
+        rep.from_cache = true;
+        rep.from_memo = msg[0] == 2;
+        if (root && own.armed) own.publish(hit.choice);  // seed memo
+        return hit.choice;
       }
-      for (std::size_t f = 0; f < kUp; ++f) {
-        pup[f] = phys[f].data();
-        sup[f] = spec[f].data();
-      }
-      auto substage = [&] {
-        pf.to_physical_batch(sdown, pdown, kDown);
-        pf.to_spectral_batch(pup, sup, kUp);
-      };
-      substage();  // warm-up, untimed
-      double local = std::numeric_limits<double>::infinity();
-      for (int rep = 0; rep < reps; ++rep) {
-        wall_timer t;
-        substage();
-        local = std::min(local, t.seconds());
-      }
-      double agreed = 0.0;
-      world.allreduce_max(&local, &agreed, 1);
-      rep.measured.push_back({F, depth, agreed});
-      if (F == 1 && depth == 1) rep.per_field_s = agreed;
-      // Strict < with the ascending (F, depth) sweep: ties go to the
-      // smaller batch, then the shallower pipeline — deterministic, and
-      // identical on every rank because `agreed` is.
-      if (agreed < best_time) {
-        best_time = agreed;
-        chosen.batch = F;
-        chosen.pipeline_depth = depth;
-      }
+      if (root)
+        warn(&rep.warnings,
+             "cached choice does not fit this run; re-measuring");
     }
   }
-  rep.choice = chosen;
-  rep.chosen_s = best_time;
+
+  const tune_choice chosen = measure();
 
   if (!opt.cache_path.empty()) {
     if (root) {
       // Load-merge-store so concurrent keys (other grids/splits) survive;
       // the per-path mutex keeps a concurrent merger from dropping ours.
       std::lock_guard<std::mutex> flk(cache_file_mutex(opt.cache_path));
-      entries = load_tuning_cache(opt.cache_path, nullptr);
+      std::vector<tune_entry> entries =
+          load_tuning_cache(opt.cache_path, nullptr);
       bool replaced = false;
       for (tune_entry& e : entries)
         if (e.key == rep.key) {
@@ -520,13 +481,77 @@ tune_report autotune_transforms(const grid& g, vmpi::communicator& world,
       }
     }
     // The cache write (or its failure) is settled before anyone returns
-    // and possibly re-reads the file.
-    world.barrier();
-    // Publish after the file settles: waiters blocked on this key resume
+    // and possibly re-reads the file; waiters blocked on this key resume
     // with the measured choice (a failed store still publishes — the
     // choice is valid either way).
+    world.barrier();
     if (root && own.armed) own.publish(chosen);
   }
+  return chosen;
+}
+
+}  // namespace
+
+tune_report autotune_transforms(const grid& g, vmpi::communicator& world,
+                                vmpi::cart2d& cart, const kernel_config& base,
+                                const tune_options& opt) {
+  tune_report rep;
+  rep.key = make_tune_key(g, base, cart.pa(), cart.pb());
+  rep.choice = consult_measure_store(
+      world, opt, rep, [](const tune_choice&) { return true; }, [&] {
+        const int max_f = std::max(1, base.max_batch);
+        const int fcand[3] = {1, 3, 5};
+        auto substage_s = [&](const tune_choice& c) {
+          parallel_fft pf(g, cart, apply_tuning(base, c));
+          return time_substage(pf, opt.reps, world);
+        };
+
+        // Exchange strategies first, at the widest candidate batch with
+        // depth 1: each communicator with more than one rank tries
+        // pairwise against the pair chosen so far (strict <, so ties keep
+        // alltoall). A size-1 communicator's exchange is a local copy —
+        // nothing to time.
+        tune_choice chosen;
+        for (int F : fcand)
+          if (F <= max_f) chosen.batch = F;
+        if (cart.pa() > 1 || cart.pb() > 1) {
+          double pair_s = substage_s(chosen);
+          auto try_pairwise = [&](exchange_strategy tune_choice::*strat) {
+            tune_choice alt = chosen;
+            alt.*strat = exchange_strategy::pairwise;
+            const double t = substage_s(alt);
+            if (t < pair_s) {
+              pair_s = t;
+              chosen = alt;
+            }
+          };
+          if (cart.pa() > 1) try_pairwise(&tune_choice::strat_a);
+          if (cart.pb() > 1) try_pairwise(&tune_choice::strat_b);
+        }
+
+        // Then F x depth on the winning pair. Strict < with the ascending
+        // sweep: ties go to the smaller batch, then the shallower
+        // pipeline — deterministic, and identical on every rank because
+        // the timings are.
+        double best_time = std::numeric_limits<double>::infinity();
+        const tune_choice pair = chosen;
+        for (int F : fcand) {
+          if (F > max_f) continue;
+          for (int depth = 1; depth <= 2 && depth <= F; ++depth) {
+            const double t =
+                substage_s({pair.strat_a, pair.strat_b, F, depth});
+            rep.measured.push_back({F, depth, t});
+            if (F == 1 && depth == 1) rep.per_field_s = t;
+            if (t < best_time) {
+              best_time = t;
+              chosen.batch = F;
+              chosen.pipeline_depth = depth;
+            }
+          }
+        }
+        rep.chosen_s = best_time;
+        return chosen;
+      });
   return rep;
 }
 
@@ -548,140 +573,37 @@ decomp_tune_report autotune_decomposition(const grid& g,
   if (pa < 1 || pb < 1 || pa * pb != ranks)
     default_pencil_grid(ranks, pa, pb);
   rep.key = make_tune_key(g, base, pa, pb, decomposition::tuned, replica_c);
-  const bool root = world.rank() == 0;
 
-  // Cache consult on rank 0 (memo tier first, exactly as in
-  // autotune_transforms), verdict broadcast (measurement is collective).
-  std::uint32_t hit[4] = {0, 0, 0, 0};  // hit[0]: 0 miss, 1 file, 2 memo
-  std::vector<tune_entry> entries;
-  memo_ownership own;
-  if (!opt.cache_path.empty()) {
-    if (root) {
-      tune_choice mc;
-      if (memo_lookup_or_begin(opt.cache_path, rep.key, opt.force_retune,
-                               mc)) {
-        hit[0] = 2;
-        hit[1] = encode_decomp(mc.decomp);
-        hit[2] = static_cast<std::uint32_t>(mc.pa);
-        hit[3] = static_cast<std::uint32_t>(mc.pb);
-      } else {
-        own.arm(opt.cache_path, rep.key);
-        std::lock_guard<std::mutex> flk(cache_file_mutex(opt.cache_path));
-        entries = load_tuning_cache(opt.cache_path, &rep.warnings);
-        const tune_entry* e = find_tuning_entry(entries, rep.key);
-        if (e != nullptr && !opt.force_retune) {
-          hit[0] = 1;
-          hit[1] = encode_decomp(e->choice.decomp);
-          hit[2] = static_cast<std::uint32_t>(e->choice.pa);
-          hit[3] = static_cast<std::uint32_t>(e->choice.pb);
+  // Each runnable layout runs the substage workload on its own temporary
+  // Cartesian split. pencil2d (with the configured pa x pb) is always
+  // candidate 0 and ties break toward it, so the tuned choice is never
+  // slower than pencil as measured. A cached grid must cover this rank
+  // count.
+  const tune_choice c = consult_measure_store(
+      world, opt, rep,
+      [&](const tune_choice& cc) {
+        return cc.pa >= 1 && cc.pb >= 1 && cc.pa * cc.pb == ranks;
+      },
+      [&] {
+        tune_choice best;
+        double best_time = std::numeric_limits<double>::infinity();
+        for (const decomp_plan& p :
+             decomposition_candidates(g, ranks, pa, pb)) {
+          vmpi::cart2d cart(world, p.pa, p.pb);
+          parallel_fft pf(g, cart, base);
+          const double t = time_substage(pf, opt.reps, world);
+          rep.measured.push_back({p, t});
+          if (t < best_time) {
+            best_time = t;
+            best.decomp = p.kind;
+            best.pa = p.pa;
+            best.pb = p.pb;
+          }
         }
-      }
-    }
-    world.bcast(hit, 4, 0);
-  }
-  if (hit[0] != 0) {
-    decomposition dk = decomposition::pencil2d;
-    decode_decomp(hit[1], dk);
-    const int cpa = static_cast<int>(hit[2]);
-    const int cpb = static_cast<int>(hit[3]);
-    if (cpa >= 1 && cpb >= 1 && cpa * cpb == ranks) {
-      rep.from_cache = true;
-      rep.from_memo = hit[0] == 2;
-      rep.plan = {dk, cpa, cpb,
-                  dk == decomposition::hybrid_25d ? cpa : 1};
-      if (root && own.armed) {
-        tune_choice c;
-        c.decomp = dk;
-        c.pa = cpa;
-        c.pb = cpb;
-        own.publish(c);  // seed the memo from the validated file hit
-      }
-      return rep;
-    }
-    if (root)
-      warn(&rep.warnings,
-           "cached decomposition does not cover this rank count; "
-           "re-measuring");
-  }
-
-  // Measure each runnable layout on its own temporary Cartesian split,
-  // running the 3-down + 5-up RK3 substage workload. pencil2d (with the
-  // configured pa x pb) is always candidate 0 and ties break toward it,
-  // so the tuned choice is never slower than pencil as measured.
-  const std::vector<decomp_plan> cands =
-      decomposition_candidates(g, ranks, pa, pb);
-  const int reps = std::max(1, opt.reps);
-  constexpr std::size_t kDown = 3, kUp = 5;
-  double best_time = std::numeric_limits<double>::infinity();
-  for (const decomp_plan& p : cands) {
-    vmpi::cart2d cart(world, p.pa, p.pb);
-    parallel_fft pf(g, cart, base);
-    const decomp& dd = pf.dec();
-    std::vector<std::vector<cplx>> spec(kUp);
-    std::vector<std::vector<double>> phys(kUp);
-    for (std::size_t f = 0; f < kUp; ++f) {
-      spec[f].assign(dd.y_pencil_elems(), cplx{0.0, 0.0});
-      phys[f].assign(dd.x_pencil_real_elems(), 0.0);
-    }
-    const cplx* sdown[kDown];
-    double* pdown[kDown];
-    const double* pup[kUp];
-    cplx* sup[kUp];
-    for (std::size_t f = 0; f < kDown; ++f) {
-      sdown[f] = spec[f].data();
-      pdown[f] = phys[f].data();
-    }
-    for (std::size_t f = 0; f < kUp; ++f) {
-      pup[f] = phys[f].data();
-      sup[f] = spec[f].data();
-    }
-    auto substage = [&] {
-      pf.to_physical_batch(sdown, pdown, kDown);
-      pf.to_spectral_batch(pup, sup, kUp);
-    };
-    substage();  // warm-up, untimed
-    double local = std::numeric_limits<double>::infinity();
-    for (int r = 0; r < reps; ++r) {
-      wall_timer t;
-      substage();
-      local = std::min(local, t.seconds());
-    }
-    double agreed = 0.0;
-    world.allreduce_max(&local, &agreed, 1);
-    rep.measured.push_back({p, agreed});
-    if (agreed < best_time) {
-      best_time = agreed;
-      rep.plan = p;
-    }
-  }
-
-  if (!opt.cache_path.empty()) {
-    tune_choice choice;
-    choice.decomp = rep.plan.kind;
-    choice.pa = rep.plan.pa;
-    choice.pb = rep.plan.pb;
-    if (root) {
-      std::lock_guard<std::mutex> flk(cache_file_mutex(opt.cache_path));
-      entries = load_tuning_cache(opt.cache_path, nullptr);
-      bool replaced = false;
-      for (tune_entry& e : entries)
-        if (e.key == rep.key) {
-          e.choice = choice;
-          replaced = true;
-        }
-      if (!replaced) entries.push_back({rep.key, choice});
-      try {
-        save_tuning_cache(opt.cache_path, entries);
-        rep.stored = true;
-      } catch (const std::exception& ex) {
-        warn(&rep.warnings,
-             std::string("failed to store tuning cache '") + opt.cache_path +
-                 "': " + ex.what());
-      }
-    }
-    world.barrier();
-    if (root && own.armed) own.publish(choice);
-  }
+        return best;
+      });
+  rep.plan = {c.decomp, c.pa, c.pb,
+              c.decomp == decomposition::hybrid_25d ? c.pa : 1};
   return rep;
 }
 

@@ -2,12 +2,12 @@
 //
 // The paper's kernel leans on FFTW 3.3's transpose planner, which times
 // candidate exchange implementations at plan time and keeps the fastest
-// (Section 4.3). This module extends that idea to the whole knob set the
-// batched kernel exposes: {exchange strategy per communicator, batch width
-// F, pipeline depth}, measured on the batch-scaled exchanges and the
-// 3-down + 5-up field workload an RK3 substage actually runs. Timings are
-// max-reduced across ranks before the (deterministic) argmin, so every
-// rank picks the same configuration.
+// (Section 4.3). This module is the only code that times anything: it
+// extends that idea to the whole knob set the batched kernel exposes:
+// {exchange strategy per communicator, batch width F, pipeline depth},
+// measured on the 3-down + 5-up field workload an RK3 substage actually
+// runs. Timings are max-reduced across ranks before the (deterministic)
+// argmin, so every rank picks the same configuration.
 //
 // Winners persist in a small versioned on-disk cache keyed by (grid,
 // rank split, thread counts, batch ceiling, kernel flags). The cache is
@@ -102,15 +102,18 @@ struct tune_report {
                                      decomposition dk = decomposition::pencil2d,
                                      int replica_c = 0);
 
-/// `base` with the tuner's decision applied (strategy overrides, batch
-/// width and pipeline depth). The result constructs a parallel_fft that
-/// re-measures nothing.
+/// `base` with the tuner's decision applied (per-communicator strategy
+/// pair, batch width and pipeline depth).
 [[nodiscard]] kernel_config apply_tuning(kernel_config base,
                                          const tune_choice& choice);
 
 /// Tune the transform configuration for (g, cart, base): consult the
 /// cache, measure candidates on a cache miss, agree across ranks, persist
-/// the winner. Collective over `world` (which must span cart's ranks).
+/// the winner. Each communicator's strategy is chosen at the widest
+/// candidate F <= max_batch with depth 1 (a size-1 communicator gets
+/// alltoall unmeasured), then the F x depth sweep runs on that pair;
+/// `measured` lists the sweep. Collective over `world` (which must span
+/// cart's ranks).
 [[nodiscard]] tune_report autotune_transforms(const grid& g,
                                               vmpi::communicator& world,
                                               vmpi::cart2d& cart,

@@ -1,7 +1,6 @@
 #include "pencil/pencil.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <vector>
 
 #include "fft/plan_cache.hpp"
@@ -134,11 +133,6 @@ struct parallel_fft::impl {
   std::vector<std::size_t> sc_yz, sd_yz, rc_yz, rd_yz;  // CommB, y<->z
   std::vector<std::size_t> sc_zx, sd_zx, rc_zx, rd_zx;  // CommA, z<->x
 
-  // Exchange strategies resolved at plan time (paper Section 4.3: FFTW's
-  // planner times the candidates and keeps the fastest).
-  exchange_strategy strat_a = exchange_strategy::alltoall;
-  exchange_strategy strat_b = exchange_strategy::alltoall;
-
   // Comm thread for pipelined mode (allocated only when pipeline_depth > 1).
   std::unique_ptr<vmpi::async_proxy> comm_async;
 
@@ -199,7 +193,6 @@ struct parallel_fft::impl {
       tk1_.resize(static_cast<std::size_t>(cfg.pipeline_depth));
       tk2_.resize(static_cast<std::size_t>(cfg.pipeline_depth));
     }
-    plan_strategies();
   }
 
   /// One exchange with either strategy. The pairwise algorithm runs p-1
@@ -262,60 +255,6 @@ struct parallel_fft::impl {
       brd[q] = nf * rd[q];
     }
     do_exchange(comm, strat, send, bsc, bsd, recv, brc, brd);
-  }
-
-  /// Resolve the per-communicator strategies. Explicit overrides
-  /// (cfg.strategy_a/b, written by the autotuner) win; otherwise the
-  /// global cfg.strategy applies, and auto_plan is resolved by timing both
-  /// candidates on the exchanges production will actually run — i.e.
-  /// batch-scaled by max_batch, not single-field (the old behaviour, which
-  /// could pick the wrong strategy for the batched workload). Each rep is
-  /// timed separately and the best kept, so one noisy rep can't flip the
-  /// choice; all ranks must agree, so the per-candidate timings are
-  /// max-reduced before the comparison.
-  void plan_strategies() {
-    auto resolve = [&](exchange_strategy per_comm) {
-      return per_comm != exchange_strategy::auto_plan ? per_comm
-                                                      : cfg.strategy;
-    };
-    strat_a = resolve(cfg.strategy_a);
-    strat_b = resolve(cfg.strategy_b);
-    const bool need_a = strat_a == exchange_strategy::auto_plan;
-    const bool need_b = strat_b == exchange_strategy::auto_plan;
-    if (!need_a && !need_b) return;
-    const auto nf = static_cast<std::size_t>(cfg.max_batch);
-    auto pick = [&](vmpi::communicator& comm, const std::size_t* sc,
-                    const std::size_t* sd, const std::size_t* rc,
-                    const std::size_t* rd) {
-      if (comm.size() == 1) return exchange_strategy::alltoall;
-      const exchange_strategy cand[2] = {exchange_strategy::alltoall,
-                                         exchange_strategy::pairwise};
-      // Untimed warm-up: the very first exchange pays first-touch page
-      // faults on the freshly allocated w1/w2, which used to be charged to
-      // whichever candidate ran first and biased the choice.
-      do_exchange_batch(comm, cand[0], w1.data(), sc, sd, w2.data(), rc, rd,
-                        nf);
-      double best[2];
-      for (int c = 0; c < 2; ++c) {
-        best[c] = std::numeric_limits<double>::infinity();
-        for (int rep = 0; rep < 3; ++rep) {
-          wall_timer t;
-          do_exchange_batch(comm, cand[c], w1.data(), sc, sd, w2.data(), rc,
-                            rd, nf);
-          best[c] = std::min(best[c], t.seconds());
-        }
-      }
-      double agreed[2];
-      comm.allreduce_max(best, agreed, 2);
-      return agreed[0] <= agreed[1] ? cand[0] : cand[1];
-    };
-    if (need_b)
-      strat_b = pick(comm_b, sc_yz.data(), sd_yz.data(), rc_yz.data(),
-                     rd_yz.data());
-    if (need_a)
-      strat_a = pick(comm_a, sc_zx.data(), sd_zx.data(), rc_zx.data(),
-                     rd_zx.data());
-    exchanges_ = 0;  // plan-time probes don't count toward batch_stats
   }
 
   void build_counts() {
@@ -649,23 +588,23 @@ struct parallel_fft::impl {
 
   void a2a_yz(const cplx* send, cplx* recv, std::size_t nf) {
     const section_timer::section time_sec(comm_t);
-    do_exchange_batch(comm_b, strat_b, send, sc_yz.data(), sd_yz.data(), recv,
-                      rc_yz.data(), rd_yz.data(), nf);
+    do_exchange_batch(comm_b, cfg.strategy_b, send, sc_yz.data(),
+                      sd_yz.data(), recv, rc_yz.data(), rd_yz.data(), nf);
   }
   void a2a_zy(const cplx* send, cplx* recv, std::size_t nf) {
     const section_timer::section time_sec(comm_t);
-    do_exchange_batch(comm_b, strat_b, send, rc_yz.data(), rd_yz.data(), recv,
-                      sc_yz.data(), sd_yz.data(), nf);
+    do_exchange_batch(comm_b, cfg.strategy_b, send, rc_yz.data(),
+                      rd_yz.data(), recv, sc_yz.data(), sd_yz.data(), nf);
   }
   void a2a_zx(const cplx* send, cplx* recv, std::size_t nf) {
     const section_timer::section time_sec(comm_t);
-    do_exchange_batch(comm_a, strat_a, send, sc_zx.data(), sd_zx.data(), recv,
-                      rc_zx.data(), rd_zx.data(), nf);
+    do_exchange_batch(comm_a, cfg.strategy_a, send, sc_zx.data(),
+                      sd_zx.data(), recv, rc_zx.data(), rd_zx.data(), nf);
   }
   void a2a_xz(const cplx* send, cplx* recv, std::size_t nf) {
     const section_timer::section time_sec(comm_t);
-    do_exchange_batch(comm_a, strat_a, send, rc_zx.data(), rd_zx.data(), recv,
-                      sc_zx.data(), sd_zx.data(), nf);
+    do_exchange_batch(comm_a, cfg.strategy_a, send, rc_zx.data(),
+                      rd_zx.data(), recv, sc_zx.data(), sd_zx.data(), nf);
   }
 
   // --- batched drivers -----------------------------------------------------
@@ -1004,9 +943,6 @@ void parallel_fft::rebind_workspace() {
   im.w2.borrow(im.ws_->alloc<cplx>(wn), wn);
   if (!im.w3.empty()) im.w3.borrow(im.ws_->alloc<cplx>(wn), wn);
 }
-
-exchange_strategy parallel_fft::strategy_a() const { return impl_->strat_a; }
-exchange_strategy parallel_fft::strategy_b() const { return impl_->strat_b; }
 
 double parallel_fft::comm_seconds() const { return impl_->comm_t.total(); }
 double parallel_fft::reorder_seconds() const {

@@ -52,13 +52,12 @@ struct grid {
 
 /// How each global exchange is executed. The paper (Section 4.3) relies on
 /// FFTW 3.3's transpose planner, which times several implementations
-/// (MPI_Alltoall, MPI_Sendrecv rounds, ...) and keeps the fastest;
-/// `auto_plan` reproduces that: both strategies are timed on a dummy
-/// exchange at construction and the winner is used for production.
+/// (MPI_Alltoall, MPI_Sendrecv rounds, ...) and keeps the fastest; here the
+/// autotuner (pencil/autotune.hpp) does the timing and the kernel runs the
+/// per-communicator pair it is given. Both strategies are bit-identical.
 enum class exchange_strategy {
-  auto_plan,  // measure both at plan time, keep the faster
-  alltoall,   // one alltoallv per transpose
-  pairwise,   // P-1 rounds of pairwise sendrecv exchanges
+  alltoall,  // one alltoallv per transpose
+  pairwise,  // P-1 rounds of pairwise sendrecv exchanges
 };
 
 /// Kernel configuration. The defaults are the paper's customized kernel;
@@ -69,7 +68,6 @@ struct kernel_config {
   bool dealias = true;        // fuse 3/2 pad/truncate into the transposes
   int fft_threads = 1;        // threads for FFT + pad/truncate blocks
   int reorder_threads = 1;    // threads for pack/unpack (on-node reorder)
-  exchange_strategy strategy = exchange_strategy::alltoall;
   // Fields aggregated into one exchange by the *_batch entry points; the
   // ping-pong workspaces grow by this factor. 1 keeps the seed footprint.
   int max_batch = 1;
@@ -77,14 +75,16 @@ struct kernel_config {
   // the exchange of group k with the FFT/reorder of its neighbours on a
   // dedicated comm thread (vmpi::async_proxy). 1 = fully synchronous.
   int pipeline_depth = 1;
-  // Per-communicator strategy overrides (CommA = z<->x, CommB = y<->z).
-  // auto_plan here means "inherit `strategy`"; the autotuner writes the
-  // measured winners through these so construction skips re-measuring.
-  exchange_strategy strategy_a = exchange_strategy::auto_plan;
-  exchange_strategy strategy_b = exchange_strategy::auto_plan;
+  // Exchange strategy per communicator (CommA = z<->x, CommB = y<->z),
+  // used as given; autotune_transforms measures and writes the winners.
+  exchange_strategy strategy_a = exchange_strategy::alltoall;
+  exchange_strategy strategy_b = exchange_strategy::alltoall;
 
   static kernel_config p3dfft_mode() {
-    return kernel_config{false, false, 1, 1, exchange_strategy::alltoall};
+    kernel_config k;
+    k.drop_nyquist = false;
+    k.dealias = false;
+    return k;
   }
 };
 
@@ -191,11 +191,6 @@ class parallel_fft {
   /// the construction-time offsets. Plans, counts and exchange strategies
   /// are untouched, so a rebind costs two bump allocations.
   void rebind_workspace();
-
-  /// Exchange strategies actually in use for CommA / CommB (resolved from
-  /// the configured strategy; auto_plan picks at construction).
-  [[nodiscard]] exchange_strategy strategy_a() const;
-  [[nodiscard]] exchange_strategy strategy_b() const;
 
   /// Section timers (accumulated across calls).
   [[nodiscard]] double comm_seconds() const;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "pencil/pencil.hpp"
@@ -146,10 +147,15 @@ TEST(PfftBatch, PairwiseStrategyBatchesIdentically) {
     run_world(4, [&](communicator& world) {
       cart2d cart(world, 2, 2);
       std::vector<std::vector<double>> outs;
-      for (auto strat :
-           {exchange_strategy::alltoall, exchange_strategy::pairwise}) {
+      // (CommA, CommB) pairs: uniform, then mixed.
+      const std::pair<exchange_strategy, exchange_strategy> pairs[] = {
+          {exchange_strategy::alltoall, exchange_strategy::alltoall},
+          {exchange_strategy::pairwise, exchange_strategy::pairwise},
+          {exchange_strategy::pairwise, exchange_strategy::alltoall}};
+      for (const auto& [sa, sb] : pairs) {
         kernel_config cfg;
-        cfg.strategy = strat;
+        cfg.strategy_a = sa;
+        cfg.strategy_b = sb;
         cfg.max_batch = static_cast<int>(F);
         parallel_fft pf(g, cart, cfg);
         const auto& d = pf.dec();
@@ -174,9 +180,12 @@ TEST(PfftBatch, PairwiseStrategyBatchesIdentically) {
           all.insert(all.end(), phys[f].begin(), phys[f].end());
         outs.push_back(std::move(all));
       }
-      ASSERT_EQ(outs[0].size(), outs[1].size());
-      for (std::size_t i = 0; i < outs[0].size(); ++i)
-        ASSERT_EQ(outs[0][i], outs[1][i]) << "rank " << world.rank();
+      for (std::size_t k = 1; k < outs.size(); ++k) {
+        ASSERT_EQ(outs[0].size(), outs[k].size());
+        for (std::size_t i = 0; i < outs[0].size(); ++i)
+          ASSERT_EQ(outs[0][i], outs[k][i])
+              << "rank " << world.rank() << ", pair " << k;
+      }
     });
   }
 }
