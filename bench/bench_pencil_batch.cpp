@@ -1,17 +1,16 @@
-// Batched/pipelined/autotuned pencil-transform benchmark: per-field vs
-// batched vs pipelined vs the autotuner's pick, on the Table-5 measured
-// grid plus a smaller dealiased split, emitting BENCH_pencil.json so later
-// changes have a perf trajectory to compare against.
+// Batched/autotuned pencil-transform benchmark: per-field vs batched vs
+// the autotuner's pick, on the Table-5 measured grid plus a smaller
+// dealiased split, emitting BENCH_pencil.json so later changes have a perf
+// trajectory to compare against.
 //
 // The workload is one RK3 substage's worth of transforms (3 fields
 // spectral -> physical, 5 fields physical -> spectral), the pattern
 // simulation.cpp runs three times per step. Per-field issues 16 transpose
-// exchanges per substage; batched aggregates them into 4; pipelined
-// additionally overlaps each exchange with the neighbouring field group's
-// FFT/reorder work on a comm thread. The autotuned mode first runs the
-// measured tuner (storing its decision in an on-disk cache), then reloads
-// the cache — exercising both the tune and replay paths production uses —
-// and runs whatever {strategies, F, depth} the tuner chose.
+// exchanges per substage; batched aggregates them into 4. The autotuned
+// mode first runs the measured tuner (storing its decision in an on-disk
+// cache), then reloads the cache — exercising both the tune and replay
+// paths production uses — and runs whatever {strategies, F} the tuner
+// chose.
 //
 // Usage: bench_pencil_batch [--fast]
 //   --fast: small grid / few ranks / few reps — the ctest `perf`-label
@@ -174,7 +173,7 @@ tune_choice tune_and_reload(const bench_config& bc,
 struct config_report {
   bench_config bc;
   tune_choice tuned;
-  std::vector<mode_result> rs;  // per_field, batched, pipelined, autotuned
+  std::vector<mode_result> rs;  // per_field, batched, autotuned
 };
 
 void write_json(const char* path, int reps,
@@ -198,8 +197,7 @@ void write_json(const char* path, int reps,
     w.key("tuned_choice").object(true);
     w.key("strat_a").str(strategy_name(rep.tuned.strat_a));
     w.key("strat_b").str(strategy_name(rep.tuned.strat_b));
-    w.key("batch").integer(rep.tuned.batch);
-    w.key("pipeline_depth").integer(rep.tuned.pipeline_depth).end();
+    w.key("batch").integer(rep.tuned.batch).end();
     w.key("modes").array();
     for (const auto& r : rs) {
       w.object(true).key("name").str(r.name).key("total_s").num(r.total);
@@ -209,8 +207,7 @@ void write_json(const char* path, int reps,
     }
     w.end();
     w.key("speedup_batched").num(rs[0].total / rs[1].total, "%.4f");
-    w.key("speedup_pipelined").num(rs[0].total / rs[2].total, "%.4f");
-    w.key("speedup_autotuned").num(rs[0].total / rs[3].total, "%.4f");
+    w.key("speedup_autotuned").num(rs[0].total / rs[2].total, "%.4f");
     w.end();
   }
   w.end();
@@ -226,7 +223,7 @@ int main(int argc, char** argv) {
 
   pcf::bench::print_header(
       "pencil batch",
-      "per-field vs batched vs pipelined vs autotuned transforms");
+      "per-field vs batched vs autotuned transforms");
 
   std::vector<bench_config> configs;
   if (fast) {
@@ -258,23 +255,18 @@ int main(int argc, char** argv) {
     const tune_choice tuned =
         tune_and_reload(bc, base, cache, fast ? 1 : 2);
     std::remove(cache.c_str());
-    std::printf("  tuner chose: strat_a=%s strat_b=%s F=%d depth=%d\n",
+    std::printf("  tuner chose: strat_a=%s strat_b=%s F=%d\n",
                 strategy_name(tuned.strat_a), strategy_name(tuned.strat_b),
-                tuned.batch, tuned.pipeline_depth);
+                tuned.batch);
 
     config_report rep;
     rep.bc = bc;
     rep.tuned = tuned;
     kernel_config per_field = base;
     per_field.max_batch = 1;
-    kernel_config batched = base;
-    kernel_config pipelined = base;
-    pipelined.pipeline_depth = 2;
     rep.rs.push_back(
         run_mode("per_field", bc, trials, reps, per_field, false));
-    rep.rs.push_back(run_mode("batched", bc, trials, reps, batched, true));
-    rep.rs.push_back(
-        run_mode("pipelined", bc, trials, reps, pipelined, true));
+    rep.rs.push_back(run_mode("batched", bc, trials, reps, base, true));
     rep.rs.push_back(run_mode("autotuned", bc, trials, reps,
                               apply_tuning(base, tuned),
                               tuned.batch > 1));
@@ -294,7 +286,7 @@ int main(int argc, char** argv) {
   }
 
   write_json("BENCH_pencil.json", reps, reports);
-  std::printf("wrote BENCH_pencil.json (%zu configs x 4 modes)\n",
+  std::printf("wrote BENCH_pencil.json (%zu configs x 3 modes)\n",
               reports.size());
   return 0;
 }

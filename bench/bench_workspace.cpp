@@ -8,8 +8,10 @@
 //               (bitmap first-fit path), plus the pool's own lease_ns
 //               telemetry for cross-checking.
 //   advance   — seconds per quickstart step with owned lanes vs
-//               pool-leased lanes. The pool only changes where the slabs
-//               live, so the pooled wall must stay within 2% of owned.
+//               pool-leased lanes, on the process CPU-time clock with the
+//               two regimes' steps interleaved. The pool only changes
+//               where the slabs live, so pooled must stay within 2% of
+//               owned.
 //   cycle     — suspend()/resume() round-trip latency: every leased block
 //               released back to the pool and the four workspace holders
 //               re-bound onto (possibly different) blocks.
@@ -23,8 +25,10 @@
 // Usage: bench_workspace [--fast]
 //   --fast: few steps / sims / cycles — the ctest `perf`-label smoke
 //   variant. Env: PCF_BENCH_REPS overrides the advance step count.
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <ctime>
 #include <mutex>
 #include <vector>
 
@@ -96,26 +100,60 @@ lease_point measure_lease(std::size_t bytes) {
   return out;
 }
 
-// --- advance wall: owned vs pooled -----------------------------------------
+// --- advance: owned vs pooled ----------------------------------------------
 
-double time_advance(bool pooled, int steps, int trials) {
-  std::mutex m;
-  double best = 0.0;
+struct advance_result {
+  double owned_s = 0.0;   // median CPU seconds per step
+  double pooled_s = 0.0;
+  double ratio = 0.0;     // median over step quads of pooled / owned
+};
+
+// CPU seconds used by the whole process (std::clock). The bench steps on
+// one thread, so this is that thread's work; time it spends off its CPU
+// (steal, another process's turn) does not count.
+double process_cpu_s() {
+  return static_cast<double>(std::clock()) / CLOCKS_PER_SEC;
+}
+
+double median(std::vector<double> v) {  // upper median
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+// One owned and one pooled simulation of the same problem, stepped in
+// quads owned, pooled, pooled, owned. Within a quad each regime takes one
+// step right after its own (warm caches) and one right after the other's,
+// and a linear host drift lands on both alike.
+advance_result time_advance(int quads) {
+  advance_result out;
   run_world(1, [&](communicator& world) {
-    channel_dns dns(quickstart_config(pooled), world);
-    dns.initialize(0.1, 1);
-    for (int s = 0; s < 3; ++s) dns.step();  // warm: solver caches, FFT plans
-    double local = 0.0;
-    for (int t = 0; t < trials; ++t) {
-      pcf::wall_timer w;
-      for (int s = 0; s < steps; ++s) dns.step();
-      const double per = w.seconds() / steps;
-      if (t == 0 || per < local) local = per;
+    channel_dns owned(quickstart_config(false), world);
+    channel_dns pooled(quickstart_config(true), world);
+    owned.initialize(0.1, 1);
+    pooled.initialize(0.1, 1);
+    for (int s = 0; s < 3; ++s) {  // warm: solver caches, FFT plans
+      owned.step();
+      pooled.step();
     }
-    std::lock_guard<std::mutex> lk(m);
-    best = local;
+    auto timed_step = [](channel_dns& dns) {
+      const double t0 = process_cpu_s();
+      dns.step();
+      return process_cpu_s() - t0;
+    };
+    std::vector<double> o, p, r;
+    for (int q = 0; q < quads; ++q) {
+      double to = timed_step(owned);
+      const double tp = timed_step(pooled) + timed_step(pooled);
+      to += timed_step(owned);
+      o.push_back(0.5 * to);
+      p.push_back(0.5 * tp);
+      r.push_back(tp / to);
+    }
+    out.owned_s = median(o);
+    out.pooled_s = median(p);
+    out.ratio = median(r);
   });
-  return best;
+  return out;
 }
 
 // --- suspend/resume round trip ---------------------------------------------
@@ -204,7 +242,7 @@ interleave_result measure_interleave(int sims, int cycles) {
 // --- JSON -------------------------------------------------------------------
 
 void write_json(const char* path, const std::vector<lease_point>& lease,
-                double owned_s, double pooled_s, const cycle_result& cyc,
+                const advance_result& adv, const cycle_result& cyc,
                 int cyc_cycles, const interleave_result& il) {
   pcf::bench::json_writer w(path);
   if (!w) return;
@@ -220,11 +258,11 @@ void write_json(const char* path, const std::vector<lease_point>& lease,
   }
   w.end();
   w.key("advance").object();
-  w.key("owned_s_per_step").num(owned_s);
-  w.key("pooled_s_per_step").num(pooled_s);
-  w.key("pooled_over_owned").num(pooled_s / owned_s, "%.4f");
+  w.key("owned_s_per_step").num(adv.owned_s);
+  w.key("pooled_s_per_step").num(adv.pooled_s);
+  w.key("pooled_over_owned").num(adv.ratio, "%.4f");
   w.key("bound").num(1.02, "%.2f");
-  w.key("within_bound").boolean(pooled_s / owned_s <= 1.02);
+  w.key("within_bound").boolean(adv.ratio <= 1.02);
   w.end();
   w.key("suspend_resume").object();
   w.key("cycles").integer(cyc_cycles);
@@ -248,8 +286,7 @@ void write_json(const char* path, const std::vector<lease_point>& lease,
 int main(int argc, char** argv) {
   const bool fast = argc > 1 && std::strcmp(argv[1], "--fast") == 0;
   const int steps = static_cast<int>(
-      pcf::bench::env_long("PCF_BENCH_REPS", fast ? 8 : 40));
-  const int trials = fast ? 2 : 4;
+      pcf::bench::env_long("PCF_BENCH_REPS", fast ? 48 : 160));
   const int cyc_cycles = fast ? 16 : 64;
   const int il_sims = fast ? 3 : 8;
   const int il_cycles = fast ? 8 : 64;
@@ -268,12 +305,12 @@ int main(int argc, char** argv) {
         "%.1f ns)\n",
         p.bytes, p.cached_ns, p.uncached_ns, p.pool_lease_ns);
 
-  const double owned_s = time_advance(false, steps, trials);
-  const double pooled_s = time_advance(true, steps, trials);
+  const int quads = std::max(1, steps / 2);
+  const advance_result adv = time_advance(quads);
   std::printf(
-      "advance (%d steps): owned %.3f ms/step, pooled %.3f ms/step, ratio "
-      "%.4f (bound 1.02)\n",
-      steps, 1e3 * owned_s, 1e3 * pooled_s, pooled_s / owned_s);
+      "advance (%d steps each, CPU time): owned %.3f ms/step, "
+      "pooled %.3f ms/step, ratio %.4f (bound 1.02)\n",
+      2 * quads, 1e3 * adv.owned_s, 1e3 * adv.pooled_s, adv.ratio);
 
   const cycle_result cyc = measure_cycle(cyc_cycles);
   std::printf(
@@ -290,7 +327,7 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(il.footprint_blocks),
       static_cast<unsigned long long>(il.peak_blocks), il.ratio, il.sims);
 
-  write_json("BENCH_workspace.json", lease, owned_s, pooled_s, cyc,
+  write_json("BENCH_workspace.json", lease, adv, cyc,
              cyc_cycles, il);
   std::printf("wrote BENCH_workspace.json\n");
   return 0;

@@ -1,8 +1,8 @@
 // pcf::determinism — bit-identity harness for the channel DNS.
 //
 // The solver is deterministic by construction (DESIGN.md, "Determinism
-// contract"): thread counts, transform batch width, pipeline depth and the
-// virtual-rank decomposition are all data-movement choices that must not
+// contract"): thread counts, transform batch width and the virtual-rank
+// decomposition are all data-movement choices that must not
 // change a single bit of the evolved state, and a run restored from any
 // checkpoint format must continue exactly as the uninterrupted run.
 // This header turns that contract into something a test can assert *per

@@ -87,8 +87,6 @@ bool apply_job_key(job_spec& j, const std::string& key,
   else if (key == "dt") j.config.dt = num();
   else if (key == "forcing") j.config.forcing = num();
   else if (key == "max_batch") j.config.max_batch = static_cast<int>(integer());
-  else if (key == "pipeline_depth")
-    j.config.pipeline_depth = static_cast<int>(integer());
   else if (key == "fft_threads")
     j.config.fft_threads = static_cast<int>(integer());
   else if (key == "reorder_threads")

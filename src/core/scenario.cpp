@@ -56,9 +56,10 @@ void channel_config::validate() const {
 
   if (max_batch < 1)
     bad("max_batch", "must be >= 1, got " + std::to_string(max_batch));
-  if (pipeline_depth < 1)
+  if (pipeline_depth != 1)
     bad("pipeline_depth",
-        "must be >= 1, got " + std::to_string(pipeline_depth));
+        "must be 1 (the comm-thread transform driver was removed), got " +
+            std::to_string(pipeline_depth));
   if (fft_threads < 1)
     bad("fft_threads", "must be >= 1, got " + std::to_string(fft_threads));
   if (reorder_threads < 1)

@@ -123,9 +123,10 @@ struct channel_config {
   int reorder_threads = 1;
   int advance_threads = 1;
 
-  // Pencil-transform pipelining: > 1 overlaps the transpose exchanges of
-  // one field group with the FFT/reorder of the previous group on a
-  // dedicated comm thread (see pencil::kernel_config::pipeline_depth).
+  // One-valued: validate() rejects anything but 1 (the comm-thread
+  // transform driver was removed). Kept only because
+  // stepbench/workloads.cpp still assigns it (`c.pipeline_depth = 1`);
+  // it goes when that line does.
   int pipeline_depth = 1;
 
   // Widest multi-field batch one aggregated pencil exchange may carry
@@ -151,13 +152,13 @@ struct channel_config {
 
   // Measure-and-pick autotuning of the transform kernel at construction
   // (pencil::autotune_transforms): {exchange strategy per communicator,
-  // batch width <= max_batch, pipeline depth} are timed on this grid and
-  // rank split, and the winner is written back into max_batch /
-  // pipeline_depth / strategy_a / strategy_b before any workspace is
-  // sized. Bit-identical physics for every choice (the determinism suite
-  // pins this). `tuning_cache` persists winners across runs; empty
-  // re-measures at every construction. A damaged or version-skewed cache
-  // file falls back to measurement — it never aborts a run.
+  // batch width <= max_batch} are timed on this grid and rank split, and
+  // the winner is written back into max_batch / strategy_a / strategy_b
+  // before any workspace is sized. Bit-identical physics for every choice
+  // (the determinism suite pins this). `tuning_cache` persists winners
+  // across runs; empty re-measures at every construction. A damaged or
+  // version-skewed cache file falls back to measurement — it never aborts
+  // a run.
   bool autotune = false;
   std::string tuning_cache;
 

@@ -59,10 +59,10 @@ inline constexpr std::size_t kPanelLines = 5;
 [[nodiscard]] pencil::tune_key dns_tune_key(const channel_config& c);
 
 /// If c.autotune is set, run pencil::autotune_transforms for this grid and
-/// rank split (collective over `world`) and write the chosen batch width,
-/// pipeline depth and exchange strategies back into `c`; otherwise a
-/// no-op. Returns `c` for use in a constructor init list — the resolution
-/// must happen before dns_workspace_sizes() sizes the transform lane.
+/// rank split (collective over `world`) and write the chosen batch width
+/// and exchange strategies back into `c`; otherwise a no-op. Returns `c`
+/// for use in a constructor init list — the resolution must happen before
+/// dns_workspace_sizes() sizes the transform lane.
 const channel_config& resolve_tuning(channel_config& c,
                                      vmpi::communicator& world,
                                      vmpi::cart2d& cart);

@@ -25,6 +25,8 @@ namespace {
 // v2 (the decomposition layer): key grew {decomp_kind, replica_c}, choice
 // grew {decomp, pa, pb}. v1 files fail the version check and fall back to
 // re-measurement — exactly the invalidation the format bump is for.
+// Word 14 once held a pipeline depth; it is reserved and always 1, and an
+// entry holding anything else is skipped as implausible (so re-measured).
 constexpr std::uint32_t kMagic = 0x50465443;  // "PFTC"
 constexpr std::uint32_t kVersion = 2;
 constexpr std::size_t kPayloadWords = 18;
@@ -76,7 +78,7 @@ void pack_entry(const tune_entry& e, std::uint32_t w[kPayloadWords + 1]) {
   w[11] = encode_strategy(e.choice.strat_a);
   w[12] = encode_strategy(e.choice.strat_b);
   w[13] = static_cast<std::uint32_t>(e.choice.batch);
-  w[14] = static_cast<std::uint32_t>(e.choice.pipeline_depth);
+  w[14] = 1;  // reserved
   w[15] = encode_decomp(e.choice.decomp);
   w[16] = static_cast<std::uint32_t>(e.choice.pa);
   w[17] = static_cast<std::uint32_t>(e.choice.pb);
@@ -97,10 +99,7 @@ bool unpack_entry(const std::uint32_t w[kPayloadWords + 1], tune_entry& e,
     return false;
   }
   e.choice.batch = static_cast<int>(w[13]);
-  e.choice.pipeline_depth = static_cast<int>(w[14]);
-  if (e.choice.batch < 1 || e.choice.batch > 1024 ||
-      e.choice.pipeline_depth < 1 ||
-      e.choice.pipeline_depth > e.choice.batch) {
+  if (e.choice.batch < 1 || e.choice.batch > 1024 || w[14] != 1) {
     why = "implausible tuning choice";
     return false;
   }
@@ -292,7 +291,6 @@ kernel_config apply_tuning(kernel_config base, const tune_choice& choice) {
   base.strategy_a = choice.strat_a;
   base.strategy_b = choice.strat_b;
   base.max_batch = choice.batch;
-  base.pipeline_depth = choice.pipeline_depth;
   return base;
 }
 
@@ -506,16 +504,19 @@ tune_report autotune_transforms(const grid& g, vmpi::communicator& world,
           return time_substage(pf, opt.reps, world);
         };
 
-        // Exchange strategies first, at the widest candidate batch with
-        // depth 1: each communicator with more than one rank tries
-        // pairwise against the pair chosen so far (strict <, so ties keep
-        // alltoall). A size-1 communicator's exchange is a local copy —
-        // nothing to time.
+        // Exchange strategies first, at the widest candidate batch: each
+        // communicator with more than one rank tries pairwise against the
+        // pair chosen so far (strict <, so ties keep alltoall). A size-1
+        // communicator's exchange is a local copy — nothing to time, so
+        // 1x1 probes nothing.
         tune_choice chosen;
         for (int F : fcand)
           if (F <= max_f) chosen.batch = F;
-        if (cart.pa() > 1 || cart.pb() > 1) {
-          double pair_s = substage_s(chosen);
+        const int widest = chosen.batch;
+        const bool probed = cart.pa() > 1 || cart.pb() > 1;
+        double pair_s = 0.0;  // the winning pair's time at `widest`
+        if (probed) {
+          pair_s = substage_s(chosen);
           auto try_pairwise = [&](exchange_strategy tune_choice::*strat) {
             tune_choice alt = chosen;
             alt.*strat = exchange_strategy::pairwise;
@@ -529,24 +530,22 @@ tune_report autotune_transforms(const grid& g, vmpi::communicator& world,
           if (cart.pb() > 1) try_pairwise(&tune_choice::strat_b);
         }
 
-        // Then F x depth on the winning pair. Strict < with the ascending
-        // sweep: ties go to the smaller batch, then the shallower
-        // pipeline — deterministic, and identical on every rank because
-        // the timings are.
+        // Then F on the winning pair; the widest F reuses the probe's
+        // (already max-reduced) time. Strict < with the ascending sweep:
+        // ties go to the smaller batch — deterministic, and identical on
+        // every rank because the timings are.
         double best_time = std::numeric_limits<double>::infinity();
         const tune_choice pair = chosen;
         for (int F : fcand) {
           if (F > max_f) continue;
-          for (int depth = 1; depth <= 2 && depth <= F; ++depth) {
-            const double t =
-                substage_s({pair.strat_a, pair.strat_b, F, depth});
-            rep.measured.push_back({F, depth, t});
-            if (F == 1 && depth == 1) rep.per_field_s = t;
-            if (t < best_time) {
-              best_time = t;
-              chosen.batch = F;
-              chosen.pipeline_depth = depth;
-            }
+          tune_choice c = pair;
+          c.batch = F;
+          const double t = (probed && F == widest) ? pair_s : substage_s(c);
+          rep.measured.push_back({F, t});
+          if (F == 1) rep.per_field_s = t;
+          if (t < best_time) {
+            best_time = t;
+            chosen.batch = F;
           }
         }
         rep.chosen_s = best_time;

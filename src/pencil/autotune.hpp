@@ -4,7 +4,7 @@
 // candidate exchange implementations at plan time and keeps the fastest
 // (Section 4.3). This module is the only code that times anything: it
 // extends that idea to the whole knob set the batched kernel exposes:
-// {exchange strategy per communicator, batch width F, pipeline depth},
+// {exchange strategy per communicator, batch width F},
 // measured on the 3-down + 5-up field workload an RK3 substage actually
 // runs. Timings are max-reduced across ranks before the (deterministic)
 // argmin, so every rank picks the same configuration.
@@ -52,8 +52,7 @@ struct tune_key {
 struct tune_choice {
   exchange_strategy strat_a = exchange_strategy::alltoall;  // CommA (z<->x)
   exchange_strategy strat_b = exchange_strategy::alltoall;  // CommB (y<->z)
-  int batch = 1;           // aggregated-exchange width F
-  int pipeline_depth = 1;  // comm/compute overlap groups
+  int batch = 1;  // aggregated-exchange width F
   // Resolved decomposition (cache format v2). Transform-tuning entries
   // leave pa = pb = 0; decomposition-tuning entries record the winning
   // layout and its concrete process grid here.
@@ -83,11 +82,10 @@ struct tune_report {
   bool from_cache = false;  // served without measuring (either cache tier)
   bool from_memo = false;   // ...specifically by the in-process memo
   bool stored = false;
-  double per_field_s = 0.0;  // agreed time of the F=1/depth=1 baseline
+  double per_field_s = 0.0;  // agreed time of the F=1 baseline
   double chosen_s = 0.0;     // agreed time of the winning candidate
   struct candidate {
     int batch = 1;
-    int pipeline_depth = 1;
     double seconds = 0.0;
   };
   std::vector<candidate> measured;  // empty on a cache hit
@@ -103,17 +101,17 @@ struct tune_report {
                                      int replica_c = 0);
 
 /// `base` with the tuner's decision applied (per-communicator strategy
-/// pair, batch width and pipeline depth).
+/// pair and batch width).
 [[nodiscard]] kernel_config apply_tuning(kernel_config base,
                                          const tune_choice& choice);
 
 /// Tune the transform configuration for (g, cart, base): consult the
 /// cache, measure candidates on a cache miss, agree across ranks, persist
 /// the winner. Each communicator's strategy is chosen at the widest
-/// candidate F <= max_batch with depth 1 (a size-1 communicator gets
-/// alltoall unmeasured), then the F x depth sweep runs on that pair;
-/// `measured` lists the sweep. Collective over `world` (which must span
-/// cart's ranks).
+/// candidate F <= max_batch (a size-1 communicator gets alltoall
+/// unmeasured), then F in {1, 3, 5} <= max_batch is swept on that pair,
+/// reusing the probe's time for the widest F; `measured` lists the sweep.
+/// Collective over `world` (which must span cart's ranks).
 [[nodiscard]] tune_report autotune_transforms(const grid& g,
                                               vmpi::communicator& world,
                                               vmpi::cart2d& cart,

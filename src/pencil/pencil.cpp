@@ -133,14 +133,10 @@ struct parallel_fft::impl {
   std::vector<std::size_t> sc_yz, sd_yz, rc_yz, rd_yz;  // CommB, y<->z
   std::vector<std::size_t> sc_zx, sd_zx, rc_zx, rd_zx;  // CommA, z<->x
 
-  // Comm thread for pipelined mode (allocated only when pipeline_depth > 1).
-  std::unique_ptr<vmpi::async_proxy> comm_async;
-
   // Hot-path scratch, sized once at construction so transforms never
   // allocate: batch-scaled counts/displacements for do_exchange_batch
-  // (4 * max(pa, pb)) and the pipeline's in-flight exchange tickets.
+  // (4 * max(pa, pb)).
   std::vector<std::size_t> exch_scratch_;
-  std::vector<vmpi::async_proxy::ticket> tk1_, tk2_;
 
   // Degenerate transpose stages (slab: pa == 1; 2.5D replica groups keep
   // both > 1 but small). A size-1 communicator's exchange is the identity
@@ -150,7 +146,7 @@ struct parallel_fft::impl {
   section_timer comm_t, reorder_t, fft_t;
 
   // Batched-path counters. Written by the rank's own threads only; reads
-  // are ordered behind the transform call (or the async wait inside it).
+  // are ordered behind the transform call.
   std::uint64_t transforms_ = 0, fields_ = 0, exchanges_ = 0;
   std::uint64_t reorder_calls_ = 0, reorder_fields_ = 0;
 
@@ -167,7 +163,9 @@ struct parallel_fft::impl {
         fft_pool(std::max(1, c.fft_threads)),
         reorder_pool(std::max(1, c.reorder_threads)) {
     PCF_REQUIRE(cfg.max_batch >= 1, "max_batch must be >= 1");
-    PCF_REQUIRE(cfg.pipeline_depth >= 1, "pipeline_depth must be >= 1");
+    PCF_REQUIRE(cfg.pipeline_depth == 1,
+                "pipeline_depth must be 1: the comm-thread transform driver "
+                "was removed");
     skip_a_ = comm_a.size() == 1;
     skip_b_ = comm_b.size() == 1;
     build_counts();
@@ -187,11 +185,6 @@ struct parallel_fft::impl {
       w1.reset_owned(wn);
       w2.reset_owned(wn);
       if (p3d) w3.reset_owned(wn);
-    }
-    if (cfg.pipeline_depth > 1) {
-      comm_async = std::make_unique<vmpi::async_proxy>();
-      tk1_.resize(static_cast<std::size_t>(cfg.pipeline_depth));
-      tk2_.resize(static_cast<std::size_t>(cfg.pipeline_depth));
     }
   }
 
@@ -220,10 +213,8 @@ struct parallel_fft::impl {
   /// Aggregated exchange carrying nf fields: counts and displacements are
   /// the single-field ones scaled by nf (valid because the displacements
   /// are dense prefix sums). The scaled arrays live in the preallocated
-  /// exch_scratch_, which is safe to share between the sync and pipelined
-  /// paths: a transform call is serialized per instance, and within one
-  /// call every exchange runs on a single thread (the caller, or the
-  /// async_proxy's one comm thread, whose tickets are strictly ordered).
+  /// exch_scratch_: a transform call is serialized per instance, and every
+  /// exchange runs on the calling thread.
   void do_exchange_batch(vmpi::communicator& comm, exchange_strategy strat,
                          const cplx* send, const std::size_t* sc,
                          const std::size_t* sd, cplx* recv,
@@ -232,9 +223,9 @@ struct parallel_fft::impl {
     if (comm.size() == 1) {
       // Degenerate stage (slab / 2.5D layouts): the packed buffer already
       // has the unpack's expected layout (sc[0] == rc[0]), so the exchange
-      // is a pure local copy. Not counted as an exchange — the serial and
-      // pipelined non-P3DFFT drivers skip even this copy by forwarding the
-      // packed buffer straight into the unpack.
+      // is a pure local copy. Not counted as an exchange — the non-P3DFFT
+      // drivers skip even this copy by forwarding the packed buffer
+      // straight into the unpack.
       std::copy_n(send, nf * sc[0], recv);
       return;
     }
@@ -631,10 +622,6 @@ struct parallel_fft::impl {
 
   void inverse_chunk(const cplx* const* specs, double* const* phys,
                      std::size_t nf) {
-    if (comm_async && nf > 1) {
-      inverse_pipelined(specs, phys, nf);
-      return;
-    }
     cplx* a = w1.data();
     cplx* b = w2.data();
     pack_y_to_z(specs, a, nf);
@@ -676,10 +663,6 @@ struct parallel_fft::impl {
 
   void forward_chunk(const double* const* phys, cplx* const* specs,
                      std::size_t nf) {
-    if (comm_async && nf > 1) {
-      forward_pipelined(phys, specs, nf);
-      return;
-    }
     cplx* a = w1.data();
     cplx* b = w2.data();
     const double scale =
@@ -715,172 +698,6 @@ struct parallel_fft::impl {
       a2a_zy(b, c, nf);
       unpack_y_pencil(c, specs, nf);
     }
-  }
-
-  // --- pipelined drivers ---------------------------------------------------
-  //
-  // The chunk's nf fields are split into G = min(pipeline_depth, nf)
-  // balanced groups. Group g owns the disjoint workspace slice
-  // [first(g)*wstride, (first(g)+count(g))*wstride) of each of w1/w2/w3,
-  // so its in-flight exchange never touches buffers another group is
-  // computing on. Every transform is (pre) pack, (x1) first exchange,
-  // (c1) unpack + z-FFT + pack, (x2) second exchange, (c2) unpack + x-FFT;
-  // x1/x2 run on the comm thread, everything else on the caller.
-  //
-  // Schedule (software pipeline over groups k):
-  //
-  //   pre(0); start x1(0)
-  //   for k = 0..G-1:
-  //     pre(k+1)                    // overlaps x1(k)
-  //     wait x2(k-1); c2(k-1)       // overlaps x1(k) (FIFO: x2(k-1) first)
-  //     wait x1(k);  c1(k)
-  //     start x2(k); start x1(k+1)
-  //   wait x2(G-1); c2(G-1)
-  //
-  // Every rank starts the same sequence x1(0), x2(0), x1(1), ... on its
-  // single-threaded async_proxy, so the bulk-synchronous collectives
-  // rendezvous in matching order across ranks — no tags needed.
-
-  template <class Pre, class X1, class C1, class X2, class C2>
-  void run_pipeline(std::size_t groups, Pre pre, X1 x1, C1 c1, X2 x2, C2 c2) {
-    // The callers clamp the group count to min(pipeline_depth, nf); an
-    // empty or over-deep group set would enqueue zero-field exchanges on
-    // the comm thread (whose collectives must match across ranks), so it
-    // is a hard error rather than a silent no-op.
-    PCF_REQUIRE(groups >= 1 && groups <= tk1_.size(),
-                "pipeline group count out of range");
-    std::vector<vmpi::async_proxy::ticket>&t1 = tk1_, &t2 = tk2_;
-    try {
-      pre(0);
-      t1[0] = comm_async->start([&x1] { x1(0); });
-      for (std::size_t k = 0; k < groups; ++k) {
-        if (k + 1 < groups) pre(k + 1);
-        if (k > 0) {
-          comm_async->wait(t2[k - 1]);
-          c2(k - 1);
-        }
-        comm_async->wait(t1[k]);
-        c1(k);
-        t2[k] = comm_async->start([&x2, k] { x2(k); });
-        if (k + 1 < groups)
-          t1[k + 1] = comm_async->start([&x1, k] { x1(k + 1); });
-      }
-      comm_async->wait(t2[groups - 1]);
-      c2(groups - 1);
-    } catch (...) {
-      // Drain in-flight exchanges before unwinding so the comm thread is
-      // not left inside a collective whose buffers are being torn down.
-      // After a world abort every drained operation throws immediately.
-      try {
-        comm_async->wait_all();
-      } catch (...) {
-      }
-      throw;
-    }
-  }
-
-  void inverse_pipelined(const cplx* const* specs, double* const* phys,
-                         std::size_t nf) {
-    const auto G = static_cast<int>(
-        std::min<std::size_t>(static_cast<std::size_t>(cfg.pipeline_depth),
-                              nf));
-    const bool p3d = !w3.empty();
-    auto grp = [&](std::size_t g) {
-      return block_range(nf, G, static_cast<int>(g));
-    };
-    auto at = [&](wbuf& w, std::size_t g) {
-      return w.data() + grp(g).offset * wstride;
-    };
-    // Degenerate stages (size-1 comm) do no work on the comm thread and
-    // hand the packed buffer straight to the unpack, flipping the
-    // ping-pong roles for the rest of the chunk. The P3DFFT branch keeps
-    // its fixed 3-buffer rotation (do_exchange_batch degenerates to a
-    // local copy there).
-    wbuf& uz_src = (!p3d && skip_b_) ? w1 : w2;
-    wbuf& uz_dst = (!p3d && skip_b_) ? w2 : w1;
-    run_pipeline(
-        static_cast<std::size_t>(G),
-        [&](std::size_t g) {
-          const block fb = grp(g);
-          pack_y_to_z(specs + fb.offset, at(w1, g), fb.count);
-        },
-        [&](std::size_t g) {
-          if (p3d || !skip_b_) a2a_yz(at(w1, g), at(w2, g), grp(g).count);
-        },
-        [&](std::size_t g) {
-          const std::size_t fc = grp(g).count;
-          cplx* z = p3d ? at(w3, g) : at(uz_dst, g);
-          unpack_z_pencil(p3d ? at(w2, g) : at(uz_src, g), z, fc);
-          z_fft(z, *z_inv, fc);
-          pack_z_to_x(z, p3d ? at(w1, g) : at(uz_src, g), fc);
-        },
-        [&](std::size_t g) {
-          if (p3d)
-            a2a_zx(at(w1, g), at(w2, g), grp(g).count);
-          else if (!skip_a_)
-            a2a_zx(at(uz_src, g), at(uz_dst, g), grp(g).count);
-        },
-        [&](std::size_t g) {
-          const block fb = grp(g);
-          wbuf& ux_src = skip_a_ ? uz_src : uz_dst;
-          wbuf& ux_dst = skip_a_ ? uz_dst : uz_src;
-          cplx* in = p3d ? at(w2, g) : at(ux_src, g);
-          cplx* x = p3d ? at(w3, g) : at(ux_dst, g);
-          unpack_x_pencil(in, x, fb.count);
-          x_c2r(x, phys + fb.offset, fb.count);
-        });
-  }
-
-  void forward_pipelined(const double* const* phys, cplx* const* specs,
-                         std::size_t nf) {
-    const auto G = static_cast<int>(
-        std::min<std::size_t>(static_cast<std::size_t>(cfg.pipeline_depth),
-                              nf));
-    const bool p3d = !w3.empty();
-    const double scale =
-        1.0 / (static_cast<double>(d.nxf) * static_cast<double>(d.nzf));
-    auto grp = [&](std::size_t g) {
-      return block_range(nf, G, static_cast<int>(g));
-    };
-    auto at = [&](wbuf& w, std::size_t g) {
-      return w.data() + grp(g).offset * wstride;
-    };
-    // Mirror of inverse_pipelined's degenerate-stage handling.
-    wbuf& uz_src = (!p3d && skip_a_) ? w2 : w1;
-    wbuf& uz_dst = (!p3d && skip_a_) ? w1 : w2;
-    run_pipeline(
-        static_cast<std::size_t>(G),
-        [&](std::size_t g) {
-          const block fb = grp(g);
-          x_r2c(phys + fb.offset, at(w1, g), fb.count);
-          pack_x_to_z(at(w1, g), at(w2, g), fb.count);
-        },
-        [&](std::size_t g) {
-          if (p3d)
-            a2a_xz(at(w2, g), at(w3, g), grp(g).count);
-          else if (!skip_a_)
-            a2a_xz(at(w2, g), at(w1, g), grp(g).count);
-        },
-        [&](std::size_t g) {
-          const std::size_t fc = grp(g).count;
-          cplx* in = p3d ? at(w3, g) : at(uz_src, g);
-          cplx* z = p3d ? at(w1, g) : at(uz_dst, g);
-          unpack_z_from_x(in, z, fc);
-          z_fft(z, *z_fwd, fc);
-          pack_z_to_y(z, p3d ? at(w2, g) : at(uz_src, g), scale, fc);
-        },
-        [&](std::size_t g) {
-          if (p3d)
-            a2a_zy(at(w2, g), at(w3, g), grp(g).count);
-          else if (!skip_b_)
-            a2a_zy(at(uz_src, g), at(uz_dst, g), grp(g).count);
-        },
-        [&](std::size_t g) {
-          const block fb = grp(g);
-          const cplx* ysrc = p3d ? at(w3, g)
-                                 : (skip_b_ ? at(uz_src, g) : at(uz_dst, g));
-          unpack_y_pencil(ysrc, specs + fb.offset, fb.count);
-        });
   }
 };
 

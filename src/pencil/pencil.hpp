@@ -71,9 +71,9 @@ struct kernel_config {
   // Fields aggregated into one exchange by the *_batch entry points; the
   // ping-pong workspaces grow by this factor. 1 keeps the seed footprint.
   int max_batch = 1;
-  // > 1 splits each batch into up to this many field groups and overlaps
-  // the exchange of group k with the FFT/reorder of its neighbours on a
-  // dedicated comm thread (vmpi::async_proxy). 1 = fully synchronous.
+  // One-valued: the constructor rejects anything but 1. Kept only because
+  // stepbench/probes.cpp still assigns it (`k.pipeline_depth =
+  // cfg.pipeline_depth`); it goes when that line does.
   int pipeline_depth = 1;
   // Exchange strategy per communicator (CommA = z<->x, CommB = y<->z),
   // used as given; autotune_transforms measures and writes the winners.
@@ -168,9 +168,7 @@ class parallel_fft {
   /// pipeline together so every transpose stage runs ONE aggregated
   /// exchange carrying all fields (field-strided sub-blocks inside each
   /// per-rank segment) instead of one exchange per field. Fields beyond
-  /// config().max_batch are processed in chunks of max_batch. With
-  /// pipeline_depth > 1 the chunk is further split into field groups whose
-  /// exchanges overlap neighbouring groups' FFT/reorder work. Results are
+  /// config().max_batch are processed in chunks of max_batch. Results are
   /// bit-identical to nfields single-field calls in every mode.
   void to_physical_batch(const cplx* const* specs, double* const* phys,
                          std::size_t nfields);

@@ -132,8 +132,7 @@ void thread_pool::run_erased(std::size_t n, range_thunk fn, void* ctx) {
 }
 
 std::function<void()> thread_pool::pick_queued_locked() {
-  // Single queued task (the common pencil-pipelining case): no scheduling
-  // decision to make.
+  // Single queued task: no scheduling decision to make.
   if (async_queue_.size() == 1) {
     queued_task t = std::move(async_queue_.front());
     async_queue_.pop_front();

@@ -98,8 +98,7 @@ class thread_pool {
   /// (submit-without-join) — the caller keeps computing while the task
   /// runs. With default options tasks start in FIFO order; with exactly
   /// one worker (a pool of two threads) they also *complete* in FIFO
-  /// order, which is what the comm/compute pipelining in the pencil
-  /// kernel relies on. On a single-thread pool the task runs inline
+  /// order. On a single-thread pool the task runs inline
   /// (serial fallback). A task exception is captured and rethrown by the
   /// next wait_submitted().
   ticket submit(std::function<void()> fn);

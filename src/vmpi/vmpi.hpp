@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "util/check.hpp"
-#include "util/thread_pool.hpp"
 
 namespace pcf::vmpi {
 
@@ -147,39 +146,6 @@ class communicator {
 /// Exceptions thrown by any rank are rethrown (first one wins) after all
 /// ranks have been joined.
 void run_world(int nranks, const std::function<void(communicator&)>& fn);
-
-/// Asynchronous-collective shim: the stand-in for MPI_Ialltoallv +
-/// MPI_Wait on this thread-per-rank runtime. start() hands a blocking
-/// collective (bound to this rank's communicators) to a dedicated progress
-/// thread and returns immediately; wait() blocks until it has finished.
-///
-/// Each rank owns at most one proxy and the proxy runs ONE progress
-/// thread, so submitted operations start *and complete* in submission
-/// order (FIFO). That ordering is the correctness contract: as long as
-/// every rank submits the same sequence of collectives, the bulk-
-/// synchronous rendezvous inside vmpi matches up across ranks with no tag
-/// matching — exactly how the pencil kernel pipelines its exchanges.
-///
-/// Exceptions thrown by an operation (e.g. a world abort unwinding a
-/// barrier) are captured and rethrown by the next wait()/wait_all().
-class async_proxy {
- public:
-  using ticket = thread_pool::ticket;
-
-  async_proxy() : pool_(2) {}  // caller + one progress thread
-
-  /// Begin `op` on the progress thread; the returned ticket orders it.
-  ticket start(std::function<void()> op) { return pool_.submit(std::move(op)); }
-
-  /// Block until the operation behind `t` has completed.
-  void wait(ticket t) { pool_.wait_submitted(t); }
-
-  /// Block until every started operation has completed.
-  void wait_all() { pool_.wait_submitted(); }
-
- private:
-  thread_pool pool_;
-};
 
 /// The two sub-communicators of a row-major P_A x P_B Cartesian split of
 /// `world` (rank = a * P_B + b), plus this rank's grid coordinates.

@@ -232,7 +232,7 @@ TEST(Scenarios, ValidateRejectsBadConfigsNamingTheKey) {
       {"dt", [](channel_config& c) { c.dt = 0.0; }},
       {"forcing", [](channel_config& c) { c.forcing = std::nan(""); }},
       {"max_batch", [](channel_config& c) { c.max_batch = 0; }},
-      {"pipeline_depth", [](channel_config& c) { c.pipeline_depth = 0; }},
+      {"pipeline_depth", [](channel_config& c) { c.pipeline_depth = 2; }},
       {"fft_threads", [](channel_config& c) { c.fft_threads = 0; }},
       {"reorder_threads", [](channel_config& c) { c.reorder_threads = -1; }},
       {"advance_threads", [](channel_config& c) { c.advance_threads = 0; }},

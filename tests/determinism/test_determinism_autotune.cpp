@@ -1,5 +1,5 @@
 // Autotuner bit-identity: whatever the tuner decides — any exchange
-// strategy pair, any batch width F, any pipeline depth, measured cold or
+// strategy pair, any batch width F, measured cold or
 // replayed from the on-disk cache — the physics trace must be the ONE
 // quickstart trace. The tuner is allowed to change timings only, never
 // bits; this is the contract that lets a cache file move between runs
@@ -69,24 +69,20 @@ std::string seed_cache(const channel_config& cfg, const tune_choice& choice,
   return path;
 }
 
-// Force every batch/depth decision the tuner can make (F in {1, 3, 5} x
-// depth in {1, 2}, depth <= F) through a pre-seeded cache: one trace.
+// Force every batch decision the tuner can make (F in {1, 3, 5}) through
+// a pre-seeded cache: one trace. (The test keeps its name from when
+// pipeline depth was a second axis.)
 TEST(DeterminismAutotune, PreSeededBatchDepthChoicesProduceOneTrace) {
   for (int batch : {1, 3, 5}) {
-    for (int depth : {1, 2}) {
-      if (depth > batch) continue;
-      channel_config cfg = quickstart_config();
-      cfg.autotune = true;
-      tune_choice choice;
-      choice.batch = batch;
-      choice.pipeline_depth = depth;
-      const std::string tag =
-          "f" + std::to_string(batch) + "_d" + std::to_string(depth);
-      cfg.tuning_cache = seed_cache(cfg, choice, tag);
-      expect_matches_baseline(cfg, tag);
-      std::remove(cfg.tuning_cache.c_str());
-      if (::testing::Test::HasFailure()) return;  // first divergence only
-    }
+    channel_config cfg = quickstart_config();
+    cfg.autotune = true;
+    tune_choice choice;
+    choice.batch = batch;
+    const std::string tag = "f" + std::to_string(batch);
+    cfg.tuning_cache = seed_cache(cfg, choice, tag);
+    expect_matches_baseline(cfg, tag);
+    std::remove(cfg.tuning_cache.c_str());
+    if (::testing::Test::HasFailure()) return;  // first divergence only
   }
 }
 
@@ -105,7 +101,6 @@ TEST(DeterminismAutotune, PreSeededStrategyPairsProduceOneTrace) {
       choice.strat_a = sa;
       choice.strat_b = sb;
       choice.batch = 5;
-      choice.pipeline_depth = 2;
       const std::string tag =
           std::string("s") + (sa == cand[0] ? "a" : "p") +
           (sb == cand[0] ? "a" : "p");

@@ -1,6 +1,6 @@
 // Cross-configuration bit-identity: every data-movement axis — advance /
-// FFT / reorder thread counts, transform batch width F, pipeline depth,
-// and the virtual-rank decomposition — must produce ONE identical per-step
+// FFT / reorder thread counts, transform batch width F and the
+// virtual-rank decomposition — must produce ONE identical per-step
 // CRC trace at the quickstart configuration (DESIGN.md, "Determinism
 // contract"). A divergence fails with the step and state field where the
 // first differing bit appeared.
@@ -57,72 +57,50 @@ void expect_matches_baseline(const channel_config& cfg,
                             << describe(divs);
 }
 
-// The headline matrix: full cross of thread count {1, 2, 4} x
-// pipeline_depth {1, 2} x batch width F {1, 3, 5} on one rank. 18 runs,
-// one trace.
+// The headline matrix: full cross of thread count {1, 2, 4} x batch width
+// F {1, 3, 5} on one rank. 9 runs, one trace. (The test keeps its name
+// from when pipeline depth was a third axis.)
 TEST(DeterminismMatrix, ThreadsDepthBatchCrossProduceOneTrace) {
   for (int threads : {1, 2, 4}) {
-    for (int depth : {1, 2}) {
-      for (int batch : {1, 3, 5}) {
-        channel_config cfg = quickstart_config();
-        cfg.advance_threads = threads;
-        cfg.fft_threads = threads;
-        cfg.reorder_threads = threads;
-        cfg.pipeline_depth = depth;
-        cfg.max_batch = batch;
-        const std::string tag = "t" + std::to_string(threads) + "_d" +
-                                std::to_string(depth) + "_f" +
-                                std::to_string(batch);
-        expect_matches_baseline(cfg, tag);
-        if (::testing::Test::HasFailure()) return;  // first divergence only
-      }
+    for (int batch : {1, 3, 5}) {
+      channel_config cfg = quickstart_config();
+      cfg.advance_threads = threads;
+      cfg.fft_threads = threads;
+      cfg.reorder_threads = threads;
+      cfg.max_batch = batch;
+      const std::string tag =
+          "t" + std::to_string(threads) + "_f" + std::to_string(batch);
+      expect_matches_baseline(cfg, tag);
+      if (::testing::Test::HasFailure()) return;  // first divergence only
     }
   }
 }
 
 // Virtual-rank decompositions: the fingerprint (global-order section
 // CRCs) is decomposition-independent, so every pa x pb split must reproduce the
-// single-rank trace — serial and pipelined exchange paths both.
+// single-rank trace.
 TEST(DeterminismMatrix, RankSplitsProduceOneTrace) {
   struct split {
     int pa, pb;
   };
   for (const split s : {split{2, 1}, split{1, 2}, split{2, 2}}) {
-    for (int depth : {1, 2}) {
-      channel_config cfg = quickstart_config();
-      cfg.pa = s.pa;
-      cfg.pb = s.pb;
-      cfg.pipeline_depth = depth;
-      const std::string tag = "p" + std::to_string(s.pa) + "x" +
-                              std::to_string(s.pb) + "_d" +
-                              std::to_string(depth);
-      expect_matches_baseline(cfg, tag);
-      if (::testing::Test::HasFailure()) return;
-    }
+    channel_config cfg = quickstart_config();
+    cfg.pa = s.pa;
+    cfg.pb = s.pb;
+    const std::string tag =
+        "p" + std::to_string(s.pa) + "x" + std::to_string(s.pb);
+    expect_matches_baseline(cfg, tag);
+    if (::testing::Test::HasFailure()) return;
   }
 }
 
-// Regression for the F < pipeline_depth corner: a chunk narrower than the
-// pipeline must clamp the group count instead of submitting empty
-// exchange groups to the comm thread. F = 1 forces every chunk through
-// the single-field path while comm_async is live, across ranks.
-TEST(DeterminismMatrix, ClampWhenBatchNarrowerThanPipeline) {
-  channel_config cfg = quickstart_config();
-  cfg.max_batch = 1;
-  cfg.pipeline_depth = 2;
-  expect_matches_baseline(cfg, "f1_d2_serial");
-  cfg.pa = 2;
-  expect_matches_baseline(cfg, "f1_d2_p2x1");
-}
-
-// F = 2 with depth 2 makes the *trailing* chunk of the five-field batch a
-// single field (5 = 2 + 2 + 1): the pipelined path must hand the short
-// chunk to the serial driver and stay bit-identical.
+// F = 2 makes the *trailing* chunk of the five-field batch a single field
+// (5 = 2 + 2 + 1), a chunking no F in {1, 3, 5} produces: the short chunk
+// must stay bit-identical.
 TEST(DeterminismMatrix, TrailingShortChunkStaysBitIdentical) {
   channel_config cfg = quickstart_config();
   cfg.max_batch = 2;
-  cfg.pipeline_depth = 2;
-  expect_matches_baseline(cfg, "f2_d2");
+  expect_matches_baseline(cfg, "f2");
 }
 
 }  // namespace

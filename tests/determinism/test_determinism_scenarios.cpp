@@ -73,8 +73,7 @@ trace run_config(const channel_config& cfg) {
 }
 
 /// One trace per data-movement variation: single-rank baseline, threaded
-/// (advance + FFT + reorder), and two rank splits with the pipelined
-/// exchange path.
+/// (advance + FFT + reorder), and two rank splits.
 void expect_one_trace(channel_config base, const std::string& name) {
   const trace baseline = run_config(base);
 
@@ -88,11 +87,10 @@ void expect_one_trace(channel_config base, const std::string& name) {
   channel_config split_b = base;
   split_b.pa = 2;
   split_b.pb = 2;
-  split_b.pipeline_depth = 2;
   const std::pair<channel_config, std::string> variants[] = {
       {threaded, name + "_t2"},
       {split_a, name + "_p2x1"},
-      {split_b, name + "_p2x2_d2"},
+      {split_b, name + "_p2x2"},
   };
   for (const auto& [cfg, tag] : variants) {
     const trace t = run_config(cfg);

@@ -2,12 +2,15 @@
 // measure-agree-persist flow, and the per-communicator strategy choice.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <string>
 #include <vector>
 
 #include "pencil/autotune.hpp"
 #include "pencil/pencil.hpp"
+#include "util/crc.hpp"
 
 namespace {
 
@@ -63,11 +66,9 @@ TEST(TuningCache, RoundTripsEntries) {
   const std::string path = cache_path("roundtrip");
   std::vector<tune_entry> in;
   in.push_back({key_for(16),
-                {exchange_strategy::pairwise, exchange_strategy::alltoall, 5,
-                 2}});
+                {exchange_strategy::pairwise, exchange_strategy::alltoall, 5}});
   in.push_back({key_for(32),
-                {exchange_strategy::alltoall, exchange_strategy::pairwise, 3,
-                 1}});
+                {exchange_strategy::alltoall, exchange_strategy::pairwise, 3}});
   save_tuning_cache(path, in);
 
   std::vector<std::string> warnings;
@@ -100,12 +101,10 @@ TEST(TuningCache, ApplyTuningMapsEveryChoiceField) {
   kernel_config base;
   base.max_batch = 5;
   const kernel_config k = apply_tuning(
-      base,
-      {exchange_strategy::pairwise, exchange_strategy::alltoall, 3, 2});
+      base, {exchange_strategy::pairwise, exchange_strategy::alltoall, 3});
   EXPECT_EQ(k.strategy_a, exchange_strategy::pairwise);
   EXPECT_EQ(k.strategy_b, exchange_strategy::alltoall);
   EXPECT_EQ(k.max_batch, 3);
-  EXPECT_EQ(k.pipeline_depth, 2);
 }
 
 TEST(Autotune, MeasuresAgreesAndPersists) {
@@ -121,16 +120,14 @@ TEST(Autotune, MeasuresAgreesAndPersists) {
 
     const tune_report cold = autotune_transforms(g, world, cart, base, opt);
     EXPECT_FALSE(cold.from_cache);
-    // F in {1, 3, 5} x depth in {1, 2} with depth <= F.
-    EXPECT_EQ(cold.measured.size(), 5u);
+    // F in {1, 3, 5}.
+    EXPECT_EQ(cold.measured.size(), 3u);
     EXPECT_GT(cold.per_field_s, 0.0);
     // The argmin includes the per-field baseline, so the winner is never
     // slower than per-field *as measured*.
     EXPECT_LE(cold.chosen_s, cold.per_field_s);
     EXPECT_GE(cold.choice.batch, 1);
     EXPECT_LE(cold.choice.batch, 5);
-    EXPECT_GE(cold.choice.pipeline_depth, 1);
-    EXPECT_LE(cold.choice.pipeline_depth, cold.choice.batch);
     if (world.rank() == 0) {
       EXPECT_TRUE(cold.stored);
     }
@@ -138,14 +135,13 @@ TEST(Autotune, MeasuresAgreesAndPersists) {
     // Every rank agreed on the same choice, strategies included (each
     // CommA/CommB group sees only its own exchanges, so this holds only
     // because the timings are agreed over the whole world).
-    double mine[4] = {static_cast<double>(cold.choice.batch),
-                      static_cast<double>(cold.choice.pipeline_depth),
+    double mine[3] = {static_cast<double>(cold.choice.batch),
                       static_cast<double>(cold.choice.strat_a),
                       static_cast<double>(cold.choice.strat_b)};
-    double mx[4], mn[4];
-    world.allreduce_max(mine, mx, 4);
-    world.allreduce_min(mine, mn, 4);
-    for (int i = 0; i < 4; ++i) EXPECT_EQ(mx[i], mn[i]) << "field " << i;
+    double mx[3], mn[3];
+    world.allreduce_max(mine, mx, 3);
+    world.allreduce_min(mine, mn, 3);
+    for (int i = 0; i < 3; ++i) EXPECT_EQ(mx[i], mn[i]) << "field " << i;
 
     // Second call hits the cache and returns the identical choice without
     // measuring.
@@ -160,7 +156,7 @@ TEST(Autotune, MeasuresAgreesAndPersists) {
     const tune_report again =
         autotune_transforms(g, world, cart, base, forced);
     EXPECT_FALSE(again.from_cache);
-    EXPECT_EQ(again.measured.size(), 5u);
+    EXPECT_EQ(again.measured.size(), 3u);
   });
   std::remove(path.c_str());
 }
@@ -176,8 +172,8 @@ TEST(Autotune, EmptyCachePathMeasuresAndPersistsNothing) {
     const tune_report rep = autotune_transforms(g, world, cart, base, opt);
     EXPECT_FALSE(rep.from_cache);
     EXPECT_FALSE(rep.stored);
-    // max_batch = 3 prunes the F = 5 candidates.
-    EXPECT_EQ(rep.measured.size(), 3u);
+    // max_batch = 3 prunes the F = 5 candidate.
+    EXPECT_EQ(rep.measured.size(), 2u);
     EXPECT_LE(rep.choice.batch, 3);
   });
 }
@@ -194,7 +190,7 @@ TEST(Autotune, SizeOneCommunicatorGetsAlltoallAndTheTunedKernelRuns) {
     opt.reps = 1;
     const tune_report rep = autotune_transforms(g, world, cart, base, opt);
     EXPECT_EQ(rep.choice.strat_a, exchange_strategy::alltoall);
-    EXPECT_EQ(rep.measured.size(), 3u);
+    EXPECT_EQ(rep.measured.size(), 2u);
 
     // The tuned kernel runs and matches the untuned one bit for bit.
     parallel_fft tuned(g, cart, apply_tuning(base, rep.choice));
@@ -209,6 +205,106 @@ TEST(Autotune, SizeOneCommunicatorGetsAlltoallAndTheTunedKernelRuns) {
     plain.to_physical(spec.data(), want.data());
     EXPECT_EQ(got, want);
   });
+}
+
+// Transpose stages one timed substage (3 fields down, 5 up, in chunks of
+// F; warm-up + reps) runs on each communicator.
+std::uint64_t substage_stages(int F, int reps) {
+  const auto chunks = [F](int n) { return (n + F - 1) / F; };
+  return static_cast<std::uint64_t>((chunks(3) + chunks(5)) * (1 + reps));
+}
+
+TEST(Autotune, WidestBatchKernelIsTimedOnce) {
+  // On 2 x 2 the tuner times three kernels at the widest F (the alltoall
+  // baseline and one pairwise trial per communicator), then sweeps only
+  // the narrower F: the sweep reuses the probe's time for the widest F.
+  // Each timed kernel's stages land on each communicator as one alltoallv
+  // (alltoall) or one exchange per partner (pairwise, p - 1 = 1 here),
+  // whichever strategies win.
+  for (const int max_batch : {1, 5}) {
+    run_world(4, [&](communicator& world) {
+      cart2d cart(world, 2, 2);
+      const grid g{8, 9, 8};
+      kernel_config base;
+      base.max_batch = max_batch;
+      tune_options opt;
+      opt.reps = 1;
+      const auto a0 = cart.comm_a().stats();
+      const auto b0 = cart.comm_b().stats();
+      const tune_report rep = autotune_transforms(g, world, cart, base, opt);
+      const auto a1 = cart.comm_a().stats();
+      const auto b1 = cart.comm_b().stats();
+
+      std::uint64_t want = 3 * substage_stages(max_batch, opt.reps);
+      for (const int F : {1, 3})
+        if (F < max_batch) want += substage_stages(F, opt.reps);
+      EXPECT_EQ(a1.alltoall_calls - a0.alltoall_calls + a1.exchange_calls -
+                    a0.exchange_calls,
+                want)
+          << "max_batch " << max_batch;
+      EXPECT_EQ(b1.alltoall_calls - b0.alltoall_calls + b1.exchange_calls -
+                    b0.exchange_calls,
+                want)
+          << "max_batch " << max_batch;
+      EXPECT_EQ(rep.measured.size(), max_batch == 1 ? 1u : 3u);
+      EXPECT_EQ(rep.measured.back().batch, max_batch);
+    });
+  }
+}
+
+TEST(TuningCache, EntryWithReservedWordNotOneIsReMeasured) {
+  // A v2 entry whose reserved word 14 (once the pipeline depth) holds 2
+  // passes its CRC but is implausible: the tuner skips it with a warning,
+  // measures, and stores the entry back with the word at 1.
+  const std::string path = cache_path("reserved_word");
+  const grid g{8, 9, 8};
+  kernel_config base;
+  base.max_batch = 5;
+  const tune_key k = make_tune_key(g, base, 1, 1);
+  constexpr std::size_t kWords = 18;
+  std::uint32_t w[kWords + 1] = {k.nx, k.ny, k.nz, k.pa, k.pb,
+                                 k.fft_threads, k.reorder_threads,
+                                 k.max_batch, k.flags, k.decomp_kind,
+                                 k.replica_c,
+                                 0, 0,  // alltoall, alltoall
+                                 5,     // batch
+                                 2,     // reserved word: not 1
+                                 0, 0, 0};
+  w[kWords] = pcf::crc32(w, kWords * sizeof(std::uint32_t));
+  {
+    std::ofstream out(path, std::ios::binary);
+    const std::uint32_t hdr[3] = {0x50465443u, 2u, 1u};
+    out.write(reinterpret_cast<const char*>(hdr), sizeof(hdr));
+    out.write(reinterpret_cast<const char*>(w), sizeof(w));
+  }
+  std::vector<std::string> warnings;
+  EXPECT_TRUE(load_tuning_cache(path, &warnings).empty());
+  ASSERT_EQ(warnings.size(), 1u);
+  EXPECT_NE(warnings[0].find("implausible"), std::string::npos);
+
+  run_world(1, [&](communicator& world) {
+    cart2d cart(world, 1, 1);
+    tune_options opt;
+    opt.cache_path = path;
+    opt.reps = 1;
+    const tune_report rep = autotune_transforms(g, world, cart, base, opt);
+    EXPECT_FALSE(rep.from_cache);
+    EXPECT_EQ(rep.measured.size(), 3u);
+    EXPECT_TRUE(rep.stored);
+  });
+
+  std::ifstream in(path, std::ios::binary);
+  std::uint32_t raw[3 + kWords + 1] = {};
+  in.read(reinterpret_cast<char*>(raw), sizeof(raw));
+  ASSERT_TRUE(in.good());
+  EXPECT_EQ(raw[2], 1u);           // the bad entry was replaced, not kept
+  EXPECT_EQ(raw[3 + 14], 1u);      // reserved word written as 1
+  EXPECT_EQ(in.peek(), EOF);
+  warnings.clear();
+  EXPECT_NE(find_tuning_entry(load_tuning_cache(path, &warnings), k),
+            nullptr);
+  EXPECT_TRUE(warnings.empty());
+  std::remove(path.c_str());
 }
 
 TEST(TuningCache, RoundTripsDecompositionEntries) {
@@ -322,7 +418,6 @@ TEST(Autotune, TunedConfigConstructsWithoutRemeasuring) {
     EXPECT_EQ(pf.config().strategy_a, rep.choice.strat_a);
     EXPECT_EQ(pf.config().strategy_b, rep.choice.strat_b);
     EXPECT_EQ(pf.config().max_batch, rep.choice.batch);
-    EXPECT_EQ(pf.config().pipeline_depth, rep.choice.pipeline_depth);
   });
   std::remove(path.c_str());
 }

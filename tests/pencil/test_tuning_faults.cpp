@@ -61,10 +61,9 @@ tune_key some_key(std::uint32_t nx = 16) {
 
 std::vector<tune_entry> two_entries() {
   return {{some_key(16),
-           {exchange_strategy::pairwise, exchange_strategy::alltoall, 5, 2}},
+           {exchange_strategy::pairwise, exchange_strategy::alltoall, 5}},
           {some_key(32),
-           {exchange_strategy::alltoall, exchange_strategy::alltoall, 3,
-            1}}};
+           {exchange_strategy::alltoall, exchange_strategy::alltoall, 3}}};
 }
 
 std::vector<char> slurp(const std::string& path) {

@@ -149,7 +149,7 @@ TEST(ThreadPool, FirstExceptionWinsWhenSeveralChunksThrow) {
 INSTANTIATE_TEST_SUITE_P(Widths, ThreadPoolExceptionP,
                          ::testing::Values(1, 2, 4));
 
-// --- submit-without-join (the facility behind the pencil comm pipeline) ---
+// --- submit-without-join (the campaign scheduler's task queue) ---
 
 TEST(ThreadPoolSubmit, TasksRunFifoWithOneWorker) {
   thread_pool pool(2);  // caller + exactly one worker => FIFO completion
