@@ -6,6 +6,8 @@
 #include <string>
 #include <vector>
 
+#include "pencil/pencil.hpp"
+#include "util/aligned.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
 
@@ -33,6 +35,31 @@ double time_call(F&& fn, double min_seconds = 0.05, int min_reps = 3) {
     if (s >= min_seconds || reps > (1 << 22)) return s / reps;
     reps *= 4;
   }
+}
+
+/// Seconds per to_physical + to_spectral cycle of the pencil kernel on a
+/// pa x pb virtual-MPI grid: rank 0's wall clock over `repeats` cycles
+/// after one warm-up cycle.
+inline double transform_cycle_seconds(int pa, int pb, const pencil::grid& g,
+                                      const pencil::kernel_config& cfg,
+                                      int repeats) {
+  double out = 0.0;  // written by rank 0 only; run_world joins the ranks
+  vmpi::run_world(pa * pb, [&](vmpi::communicator& world) {
+    vmpi::cart2d cart(world, pa, pb);
+    pencil::parallel_fft pf(g, cart, cfg);
+    const auto& d = pf.dec();
+    aligned_buffer<pencil::cplx> spec(d.y_pencil_elems(), {0.5, -0.5});
+    aligned_buffer<double> phys(d.x_pencil_real_elems());
+    auto cycle = [&] {
+      pf.to_physical(spec.data(), phys.data());
+      pf.to_spectral(phys.data(), spec.data());
+    };
+    cycle();
+    wall_timer t;
+    for (int r = 0; r < repeats; ++r) cycle();
+    if (world.rank() == 0) out = t.seconds() / repeats;
+  });
+  return out;
 }
 
 inline void print_header(const char* table, const char* description) {

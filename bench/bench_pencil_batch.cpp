@@ -98,7 +98,7 @@ mode_result run_mode(const std::string& name, const bench_config& bc,
     };
 
     substage();  // warm-up (first-touch, FFT twiddle caches)
-    pf.reset_timers();
+    pf.timer().reset();
     const auto bs0 = pf.batching();
     const auto a0 = cart.comm_a().stats();
     const auto b0 = cart.comm_b().stats();

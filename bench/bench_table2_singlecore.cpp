@@ -117,16 +117,7 @@ int main() {
     std::printf("\nper-stage breakdown of the RK3 step (%zux%dx%zu, %ld "
                 "steps; parents include children):\n",
                 cfg.nx, cfg.ny, cfg.nz, dns_steps);
-    pcf::text_table st({"Stage", "Seconds", "Calls", "GFlop", "GB moved"});
-    for (const auto& p : tt.phases) {
-      std::string name(static_cast<std::size_t>(2 * p.depth), ' ');
-      name += p.name;
-      st.add_row({name, pcf::text_table::fmt(p.seconds, 3),
-                  std::to_string(p.calls),
-                  pcf::text_table::fmt(static_cast<double>(p.flops) / 1e9, 3),
-                  pcf::text_table::fmt(static_cast<double>(p.bytes) / 1e9, 3)});
-    }
-    std::fputs(st.str().c_str(), stdout);
+    std::fputs(pcf::core::format_phase_tree(tt).c_str(), stdout);
   });
   return 0;
 }

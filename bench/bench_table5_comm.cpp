@@ -6,46 +6,12 @@
 // demonstrating the same qualitative ordering (node-local CommB wins); and
 // (2) the netsim model regenerating the paper's Mira (8192-core) and
 // Lonestar (384-core) numbers.
-#include <mutex>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "netsim/predictor.hpp"
-#include "pencil/pencil.hpp"
-#include "util/aligned.hpp"
 
 using namespace pcf::pencil;
-
-namespace {
-
-double measured_cycle(int pa, int pb, const grid& g, int repeats) {
-  double out = 0.0;
-  std::mutex m;
-  pcf::vmpi::run_world(pa * pb, [&](pcf::vmpi::communicator& world) {
-    pcf::vmpi::cart2d cart(world, pa, pb);
-    kernel_config cfg;
-    cfg.dealias = false;
-    parallel_fft pf(g, cart, cfg);
-    const auto& d = pf.dec();
-    pcf::aligned_buffer<cplx> spec(d.y_pencil_elems(), cplx{1.0, 0.0});
-    pcf::aligned_buffer<double> phys(d.x_pencil_real_elems());
-    pf.to_physical(spec.data(), phys.data());
-    pf.to_spectral(phys.data(), spec.data());
-    pf.reset_timers();
-    pcf::wall_timer t;
-    for (int r = 0; r < repeats; ++r) {
-      pf.to_physical(spec.data(), phys.data());
-      pf.to_spectral(phys.data(), spec.data());
-    }
-    if (world.rank() == 0) {
-      std::lock_guard<std::mutex> lk(m);
-      out = t.seconds() / repeats;
-    }
-  });
-  return out;
-}
-
-}  // namespace
 
 int main() {
   pcf::bench::print_header("Table 5",
@@ -58,9 +24,12 @@ int main() {
   std::printf("measured on the virtual-MPI runtime (16 ranks, grid %zu x "
               "%zu x %zu, full transpose cycle):\n",
               g.nx, g.ny, g.nz);
+  kernel_config cfg;
+  cfg.dealias = false;
   pcf::text_table hm({"CommA x CommB", "Elapsed"});
   for (int pb : {1, 2, 4, 8, 16}) {
-    const double t = measured_cycle(16 / pb, pb, g, repeats);
+    const double t =
+        pcf::bench::transform_cycle_seconds(16 / pb, pb, g, cfg, repeats);
     hm.add_row({std::to_string(16 / pb) + " x " + std::to_string(pb),
                 pcf::text_table::fmt_time(t)});
   }

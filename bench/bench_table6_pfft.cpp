@@ -10,44 +10,23 @@
 //
 // Modelled section: netsim regenerates the full table for all four
 // systems up to 786,432 cores.
-#include <mutex>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "netsim/predictor.hpp"
-#include "pencil/pencil.hpp"
-#include "util/aligned.hpp"
 
 using namespace pcf::pencil;
 
 namespace {
 
+/// One transform cycle on `ranks` virtual ranks, split as squarely as
+/// possible with pa >= pb.
 double measured_cycle(int ranks, const grid& g, const kernel_config& cfg,
                       int repeats) {
-  double out = 0.0;
-  std::mutex m;
-  pcf::vmpi::run_world(ranks, [&](pcf::vmpi::communicator& world) {
-    int pa = 1;
-    for (int f = 1; f * f <= ranks; ++f)
-      if (ranks % f == 0) pa = ranks / f;
-    pcf::vmpi::cart2d cart(world, pa, ranks / pa);
-    parallel_fft pf(g, cart, cfg);
-    const auto& d = pf.dec();
-    pcf::aligned_buffer<cplx> spec(d.y_pencil_elems(), cplx{0.5, -0.5});
-    pcf::aligned_buffer<double> phys(d.x_pencil_real_elems());
-    pf.to_physical(spec.data(), phys.data());
-    pf.to_spectral(phys.data(), spec.data());
-    pcf::wall_timer t;
-    for (int r = 0; r < repeats; ++r) {
-      pf.to_physical(spec.data(), phys.data());
-      pf.to_spectral(phys.data(), spec.data());
-    }
-    if (world.rank() == 0) {
-      std::lock_guard<std::mutex> lk(m);
-      out = t.seconds() / repeats;
-    }
-  });
-  return out;
+  int pa = 1;
+  for (int f = 1; f * f <= ranks; ++f)
+    if (ranks % f == 0) pa = ranks / f;
+  return pcf::bench::transform_cycle_seconds(pa, ranks / pa, g, cfg, repeats);
 }
 
 void modelled_table(const pcf::netsim::machine& m, std::size_t nx,

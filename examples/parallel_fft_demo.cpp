@@ -41,7 +41,7 @@ double run_kernel(int ranks, const grid& g, const kernel_config& cfg,
     // Warm up once, then time.
     pf.to_physical(spec.data(), phys.data());
     pf.to_spectral(phys.data(), spec.data());
-    pf.reset_timers();
+    pf.timer().reset();
     pcf::wall_timer t;
     for (int r = 0; r < repeats; ++r) {
       pf.to_physical(spec.data(), phys.data());

@@ -47,9 +47,7 @@ int main(int argc, char** argv) {
       if (world.rank() != 0) return;
       std::printf("  -- stage timings (last %ld steps) --\n",
                   plan.timings_every);
-      for (const auto& p : t.phases)
-        std::printf("     %*s%-12s %9.3fs  %8ld calls\n", 2 * p.depth, "",
-                    p.name.c_str(), p.seconds, p.calls);
+      std::fputs(pcf::core::format_phase_tree(t).c_str(), stdout);
     };
 
     // Resume from the newest good checkpoint generation if a previous

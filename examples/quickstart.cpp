@@ -51,9 +51,7 @@ int main(int argc, char** argv) {
                 "N-S advance %.3fs, total %.3fs\n",
                 t.transpose, t.fft, t.advance, t.total);
     std::printf("\nper-stage breakdown (parents include children):\n");
-    for (const auto& p : t.phases)
-      std::printf("  %*s%-12s %9.3fs  %8ld calls\n", 2 * p.depth, "",
-                  p.name.c_str(), p.seconds, p.calls);
+    std::fputs(pcf::core::format_phase_tree(t).c_str(), stdout);
 
     std::printf("\nworkspace high-water (%s lanes):\n",
                 t.pooled ? "pooled" : "owned");

@@ -64,10 +64,9 @@ struct tenant {
   std::atomic<bool> cancel_requested{false};
   std::string error;
   std::vector<series_sample> series;
-  // Phase-timer accumulation over every slice (timings()/reset_timings()
-  // at slice boundaries): where this run's wall time actually went.
-  double sec_total = 0.0, sec_fft = 0.0, sec_transpose = 0.0,
-         sec_advance = 0.0;
+  // Step wall time summed over every slice (timings()/reset_timings() at
+  // slice boundaries).
+  double sec_total = 0.0;
 };
 
 }  // namespace
@@ -247,7 +246,7 @@ struct campaign_server::impl {
     bool failed = false;
     std::string error;
     double sim_time = 0.0;
-    core::step_timings st;
+    double step_seconds = 0.0;
     std::optional<series_sample> sample;
     try {
       if (inst == nullptr) admit(t, inst, readmitted);
@@ -272,7 +271,7 @@ struct campaign_server::impl {
         sample = s;
       }
       sim_time = dns.time();
-      st = dns.timings();
+      step_seconds = dns.timings().total;
       dns.reset_timings();
       if (done < total) dns.suspend();
     } catch (const std::exception& ex) {
@@ -290,10 +289,7 @@ struct campaign_server::impl {
     t.last_ran = ++clock;
     if (!failed) {
       t.sim_time = sim_time;
-      t.sec_total += st.total;
-      t.sec_fft += st.fft;
-      t.sec_transpose += st.transpose;
-      t.sec_advance += st.advance;
+      t.sec_total += step_seconds;
       if (sample) t.series.push_back(*sample);
     }
     if (readmitted) ++readmissions;

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <utility>
 
 #include "core/simulation_impl.hpp"
@@ -174,11 +175,25 @@ long channel_dns::step_count() const { return impl_->steps; }
 double channel_dns::dt() const { return impl_->cfg.dt; }
 double channel_dns::cfl() const { return impl_->state.cfl_global; }
 
+std::string format_phase_tree(const step_timings& t) {
+  std::string out = "  stage                       seconds     calls     GFlop"
+                    "  GB moved\n";
+  char line[128];
+  for (const auto& p : t.phases) {
+    const std::string name =
+        std::string(static_cast<std::size_t>(2 * p.depth), ' ') + p.name;
+    std::snprintf(line, sizeof line, "  %-26s %9.3f %9ld %9.3f %9.3f\n",
+                  name.c_str(), p.seconds, p.calls,
+                  static_cast<double>(p.ops.flops) / 1e9,
+                  static_cast<double>(p.ops.bytes_read + p.ops.bytes_written) /
+                      1e9);
+    out += line;
+  }
+  return out;
+}
+
 step_timings channel_dns::timings() const { return impl_->diagnostics.report(); }
 
-void channel_dns::reset_timings() {
-  impl_->pf.reset_timers();
-  impl_->timers.reset();
-}
+void channel_dns::reset_timings() { impl_->timers.reset(); }
 
 }  // namespace pcf::core

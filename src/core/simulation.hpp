@@ -25,6 +25,7 @@
 #include "pencil/decomp.hpp"
 #include "pencil/pencil.hpp"
 #include "util/counters.hpp"
+#include "util/phase_timer.hpp"
 #include "vmpi/vmpi.hpp"
 
 namespace pcf::core {
@@ -188,27 +189,18 @@ struct spectrum_data {
 
 /// Section timings of one or more steps (the breakdown of Tables 9-10).
 ///
-/// The flat fields are the legacy view; `phases` is the hierarchical
-/// per-stage breakdown from the staged pipeline (step > nonlinear >
-/// {velocities, to_physical, products, to_spectral, assemble}, implicit >
-/// build, mean_flow, reduce). Parent rows include their children. The
-/// flop/byte attribution is populated only on single-rank runs (counter
-/// buckets are process-global and vmpi ranks share the process).
+/// `phases` is the simulation's phase tree (step > nonlinear >
+/// {velocities, to_physical, to_spectral, products, assemble}, implicit >
+/// build, mean_flow, reduce; the pencil kernel's sections under each
+/// transform), charged only inside steps; the flat fields are sums of its
+/// rows. Flop/byte attribution is populated only on single-rank runs
+/// (counter buckets are process-global and vmpi ranks share the process).
 struct step_timings {
-  struct phase_report {
-    std::string name;
-    int depth = 0;  // nesting level for display indentation
-    double seconds = 0.0;
-    long calls = 0;
-    std::uint64_t flops = 0;
-    std::uint64_t bytes = 0;  // read + written
-  };
-
-  double transpose = 0.0;  // communication + on-node reorder
-  double fft = 0.0;
-  double advance = 0.0;    // nonlinear assembly + implicit solves
-  double total = 0.0;
-  std::vector<phase_report> phases;
+  double transpose = 0.0;  // exchange + pack/unpack rows
+  double fft = 0.0;        // fft_z + fft_x rows
+  double advance = 0.0;    // nonlinear compute + implicit + mean_flow rows
+  double total = 0.0;      // the step row
+  std::vector<phase_stats> phases;
 
   /// Per-lane workspace high-water marks ("shared", "transform",
   /// "thread[i]"): capacity vs the deepest bytes ever checked out.
@@ -223,6 +215,10 @@ struct step_timings {
   /// retired); meaningful when any instance runs pooled.
   counters::pool_counts pool{};
 };
+
+/// The phase tree as aligned text, one line per phase (name indented by
+/// depth, seconds, calls, GFlop, GB moved), parents above their children.
+[[nodiscard]] std::string format_phase_tree(const step_timings& t);
 
 /// One checkpoint section's name and CRC-32 (channel_dns::section_crcs).
 struct section_crc {

@@ -34,19 +34,11 @@ step_timings diagnostics_stage::report() const {
   step_timings t;
   t.transpose = ctx_.pf.comm_seconds() + ctx_.pf.reorder_seconds();
   t.fft = ctx_.pf.fft_seconds();
-  for (const auto& p : ctx_.timers.phases()) {
-    step_timings::phase_report r;
-    r.name = p.name;
-    r.depth = p.depth;
-    r.seconds = p.seconds;
-    r.calls = p.calls;
-    r.flops = p.ops.flops;
-    r.bytes = p.ops.bytes_read + p.ops.bytes_written;
-    t.phases.push_back(r);
+  t.phases = ctx_.timers.phases();
+  for (const auto& p : t.phases) {
     if (p.name == "step") t.total = p.seconds;
     // The compute phases; "implicit" includes its "build" child, and the
-    // batched transforms ("to_physical" / "to_spectral") are excluded,
-    // matching the original advance timer's coverage.
+    // batched transforms ("to_physical" / "to_spectral") are excluded.
     if (p.name == "velocities" || p.name == "products" ||
         p.name == "assemble" || p.name == "implicit" ||
         p.name == "mean_flow")

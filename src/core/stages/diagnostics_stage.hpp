@@ -22,9 +22,9 @@ class diagnostics_stage {
   [[nodiscard]] double finish_step();
 
   /// Assemble the public timing report from the phase tree: the
-  /// hierarchical per-stage rows plus the legacy flat fields (transpose /
-  /// fft from the pencil kernel's own timers; advance = the compute
-  /// phases, excluding the transforms, matching the pre-stage breakdown).
+  /// hierarchical per-stage rows plus the flat fields summed from them
+  /// (transpose / fft over the pencil kernel's section rows; advance = the
+  /// compute phases, excluding the transforms).
   [[nodiscard]] step_timings report() const;
 
  private:

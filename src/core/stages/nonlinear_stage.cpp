@@ -11,11 +11,12 @@ nonlinear_stage::nonlinear_stage(stage_context& ctx, phase_timer::id parent)
       cfl_maxes_(ctx.ws.shared().alloc<double>(
           static_cast<std::size_t>(ctx.pool.num_threads()))),
       ph_run_(ctx.timers.add("nonlinear", parent)),
-      ph_vel_(ctx.timers.add("velocities", ph_run_)),
-      ph_to_phys_(ctx.timers.add("to_physical", ph_run_)),
-      ph_prod_(ctx.timers.add("products", ph_run_)),
-      ph_to_spec_(ctx.timers.add("to_spectral", ph_run_)),
-      ph_asm_(ctx.timers.add("assemble", ph_run_)) {}
+      ph_vel_(ctx.timers.add("velocities", ph_run_)) {
+  // The kernel's to_physical / to_spectral trees join this stage's.
+  ctx.pf.time_into(ctx.timers, ph_run_);
+  ph_prod_ = ctx.timers.add("products", ph_run_);
+  ph_asm_ = ctx.timers.add("assemble", ph_run_);
+}
 
 void nonlinear_stage::rebind_workspace() {
   cfl_maxes_ = ctx_.ws.shared().alloc<double>(
@@ -114,7 +115,6 @@ void nonlinear_stage::compute_velocities() {
 }
 
 void nonlinear_stage::velocities_to_physical() {
-  phase_timer::section sec(ctx_.timers, ph_to_phys_);
   auto& st = ctx_.state;
   // Fixed-size pointer tables (kMaxScalars-bounded) keep this hot path
   // allocation-free; the scalars ride the same aggregated exchange as the
@@ -175,7 +175,6 @@ void nonlinear_stage::compute_products() {
 }
 
 void nonlinear_stage::products_to_spectral() {
-  phase_timer::section sec(ctx_.timers, ph_to_spec_);
   auto& st = ctx_.state;
   const std::size_t nsc = st.scalars.size();
   const double* prods[5 + 3 * kMaxScalars] = {st.f1.data(), st.f2.data(),

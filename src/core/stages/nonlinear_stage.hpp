@@ -17,8 +17,10 @@ namespace pcf::core {
 class nonlinear_stage {
  public:
   /// Registers its phase tree under `parent` ("nonlinear" with children
-  /// velocities / to_physical / products / to_spectral / assemble) and
-  /// checks the per-thread CFL maxima out of the shared lane (permanent).
+  /// velocities / to_physical / to_spectral / products / assemble; the
+  /// two transforms are the pencil kernel's, re-attached here with their
+  /// per-section children) and checks the per-thread CFL maxima out of
+  /// the shared lane (permanent).
   nonlinear_stage(stage_context& ctx, phase_timer::id parent);
 
   /// The full stage. On return state.u_s holds h_v, state.v_s holds h_g
@@ -59,8 +61,7 @@ class nonlinear_stage {
  private:
   stage_context& ctx_;
   double* cfl_maxes_;  // per-pool-thread partial maxima (shared lane)
-  phase_timer::id ph_run_, ph_vel_, ph_to_phys_, ph_prod_, ph_to_spec_,
-      ph_asm_;
+  phase_timer::id ph_run_, ph_vel_, ph_prod_, ph_asm_;
 };
 
 }  // namespace pcf::core

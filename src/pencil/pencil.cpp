@@ -1,6 +1,7 @@
 #include "pencil/pencil.hpp"
 
 #include <algorithm>
+#include <initializer_list>
 #include <vector>
 
 #include "fft/plan_cache.hpp"
@@ -74,6 +75,17 @@ std::size_t round_to_alignment(std::size_t bytes) {
   return (bytes + kAlignment - 1) / kAlignment * kAlignment;
 }
 
+/// The kernel functions a transform runs, one timed phase each, in the
+/// inverse direction's execution order. Stage B is the y<->z transpose
+/// (CommB), stage A the z<->x one (CommA).
+enum section : int {
+  pack_b, exchange_b, unpack_b, fft_z, pack_a, exchange_a, unpack_a, fft_x,
+  n_sections
+};
+constexpr const char* kSectionName[n_sections] = {
+    "pack_b", "exchange_b", "unpack_b", "fft_z",
+    "pack_a", "exchange_a", "unpack_a", "fft_x"};
+
 }  // namespace
 
 std::size_t transform_workspace_bytes(const decomp& d,
@@ -143,7 +155,11 @@ struct parallel_fft::impl {
   // on the packed buffer, so the drivers forward it straight to the unpack.
   bool skip_a_ = false, skip_b_ = false;
 
-  section_timer comm_t, reorder_t, fft_t;
+  // The timer the kernel charges (own_timer_ unless re-attached). Each
+  // direction's root id is followed by its sections' (root + 1 + s).
+  phase_timer own_timer_{false};
+  phase_timer* timer_ = &own_timer_;
+  phase_timer::id inv_ph_ = -1, fwd_ph_ = -1;
 
   // Batched-path counters. Written by the rank's own threads only; reads
   // are ordered behind the transform call.
@@ -168,6 +184,7 @@ struct parallel_fft::impl {
                 "was removed");
     skip_a_ = comm_a.size() == 1;
     skip_b_ = comm_b.size() == 1;
+    time_into(own_timer_, -1);
     build_counts();
     exch_scratch_.resize(4 *
                          static_cast<std::size_t>(std::max(d.pa, d.pb)));
@@ -186,6 +203,28 @@ struct parallel_fft::impl {
       w2.reset_owned(wn);
       if (p3d) w3.reset_owned(wn);
     }
+  }
+
+  void time_into(phase_timer& t, phase_timer::id parent) {
+    timer_ = &t;
+    inv_ph_ = t.add("to_physical", parent);
+    for (const char* name : kSectionName) t.add(name, inv_ph_);
+    fwd_ph_ = t.add("to_spectral", parent);
+    for (const char* name : kSectionName) t.add(name, fwd_ph_);
+  }
+
+  /// RAII interval of section `s` under the direction root `dir`.
+  phase_timer::section timed(phase_timer::id dir, section s) {
+    return {*timer_, dir + 1 + s};
+  }
+
+  /// Seconds over the given sections of both directions.
+  [[nodiscard]] double seconds(std::initializer_list<section> ss) const {
+    double sum = 0.0;
+    for (const phase_timer::id dir : {inv_ph_, fwd_ph_})
+      for (const section s : ss)
+        sum += timer_->phases()[static_cast<std::size_t>(dir + 1 + s)].seconds;
+    return sum;
   }
 
   /// One exchange with either strategy. The pairwise algorithm runs p-1
@@ -305,7 +344,7 @@ struct parallel_fft::impl {
   // per-field pencils still feed all reorder/fft threads.
 
   void pack_y_to_z(const cplx* const* specs, cplx* send, std::size_t nf) {
-    const section_timer::section time_sec(reorder_t);
+    const auto time_sec = timed(inv_ph_, pack_b);
     const std::size_t zc = d.zs.count, ny = d.g.ny;
     const std::size_t* sc = sc_yz.data();
     const std::size_t* sd = sd_yz.data();
@@ -326,7 +365,7 @@ struct parallel_fft::impl {
   }
 
   void unpack_z_pencil(const cplx* recv, cplx* zbuf, std::size_t nf) {
-    const section_timer::section time_sec(reorder_t);
+    const auto time_sec = timed(inv_ph_, unpack_b);
     const std::size_t yc = d.yb.count, nzf = d.nzf, nzg = d.g.nz;
     const bool dealias = nzf > nzg;
     const std::size_t* rc = rc_yz.data();
@@ -367,7 +406,7 @@ struct parallel_fft::impl {
   }
 
   void pack_z_to_x(const cplx* zbuf, cplx* send, std::size_t nf) {
-    const section_timer::section time_sec(reorder_t);
+    const auto time_sec = timed(inv_ph_, pack_a);
     const std::size_t yc = d.yb.count, nzf = d.nzf;
     const std::size_t* sc = sc_zx.data();
     const std::size_t* sd = sd_zx.data();
@@ -388,7 +427,7 @@ struct parallel_fft::impl {
   }
 
   void unpack_x_pencil(const cplx* recv, cplx* xbuf, std::size_t nf) {
-    const section_timer::section time_sec(reorder_t);
+    const auto time_sec = timed(inv_ph_, unpack_a);
     const std::size_t yc = d.yb.count, zc = d.zp.count;
     const std::size_t modes = d.x_line_modes();
     const std::size_t* rc = rc_zx.data();
@@ -427,7 +466,7 @@ struct parallel_fft::impl {
   // --- forward path (physical -> spectral) --------------------------------
 
   void pack_x_to_z(const cplx* xspec, cplx* send, std::size_t nf) {
-    const section_timer::section time_sec(reorder_t);
+    const auto time_sec = timed(fwd_ph_, pack_a);
     const std::size_t yc = d.yb.count, zc = d.zp.count;
     const std::size_t modes = d.x_line_modes();
     const std::size_t* rc = rc_zx.data();
@@ -454,7 +493,7 @@ struct parallel_fft::impl {
   }
 
   void unpack_z_from_x(const cplx* recv, cplx* zbuf, std::size_t nf) {
-    const section_timer::section time_sec(reorder_t);
+    const auto time_sec = timed(fwd_ph_, unpack_a);
     const std::size_t yc = d.yb.count, nzf = d.nzf;
     const std::size_t* sc = sc_zx.data();
     const std::size_t* sd = sd_zx.data();
@@ -476,7 +515,7 @@ struct parallel_fft::impl {
 
   void pack_z_to_y(const cplx* zbuf, cplx* send, double scale,
                    std::size_t nf) {
-    const section_timer::section time_sec(reorder_t);
+    const auto time_sec = timed(fwd_ph_, pack_b);
     const std::size_t yc = d.yb.count, nzf = d.nzf, nzg = d.g.nz;
     const std::size_t* rc = rc_yz.data();
     const std::size_t* rd = rd_yz.data();
@@ -505,7 +544,7 @@ struct parallel_fft::impl {
   }
 
   void unpack_y_pencil(const cplx* recv, cplx* const* specs, std::size_t nf) {
-    const section_timer::section time_sec(reorder_t);
+    const auto time_sec = timed(fwd_ph_, unpack_b);
     const std::size_t zc = d.zs.count, ny = d.g.ny;
     const std::size_t* sc = sc_yz.data();
     const std::size_t* sd = sd_yz.data();
@@ -530,8 +569,9 @@ struct parallel_fft::impl {
   // The line loops are widened to lines * nf and re-split at field
   // boundaries, so a chunk never spans two fields' workspace slots.
 
-  void z_fft(cplx* zbuf, const fft::c2c_plan& plan, std::size_t nf) {
-    const section_timer::section time_sec(fft_t);
+  void z_fft(cplx* zbuf, const fft::c2c_plan& plan, phase_timer::id dir,
+             std::size_t nf) {
+    const auto time_sec = timed(dir, fft_z);
     const std::size_t lines = d.xs.count * d.yb.count;
     const std::size_t len = d.nzf;
     fft_pool.run(lines * nf, [&](std::size_t b, std::size_t e) {
@@ -546,7 +586,7 @@ struct parallel_fft::impl {
   }
 
   void x_c2r(const cplx* xspec, double* const* phys, std::size_t nf) {
-    const section_timer::section time_sec(fft_t);
+    const auto time_sec = timed(inv_ph_, fft_x);
     const std::size_t lines = d.zp.count * d.yb.count;
     const std::size_t modes = d.x_line_modes();
     fft_pool.run(lines * nf, [&](std::size_t b, std::size_t e) {
@@ -561,7 +601,7 @@ struct parallel_fft::impl {
   }
 
   void x_r2c(const double* const* phys, cplx* xspec, std::size_t nf) {
-    const section_timer::section time_sec(fft_t);
+    const auto time_sec = timed(fwd_ph_, fft_x);
     const std::size_t lines = d.zp.count * d.yb.count;
     const std::size_t modes = d.x_line_modes();
     fft_pool.run(lines * nf, [&](std::size_t b, std::size_t e) {
@@ -578,22 +618,22 @@ struct parallel_fft::impl {
   // --- transposes (communication) ------------------------------------------
 
   void a2a_yz(const cplx* send, cplx* recv, std::size_t nf) {
-    const section_timer::section time_sec(comm_t);
+    const auto time_sec = timed(inv_ph_, exchange_b);
     do_exchange_batch(comm_b, cfg.strategy_b, send, sc_yz.data(),
                       sd_yz.data(), recv, rc_yz.data(), rd_yz.data(), nf);
   }
   void a2a_zy(const cplx* send, cplx* recv, std::size_t nf) {
-    const section_timer::section time_sec(comm_t);
+    const auto time_sec = timed(fwd_ph_, exchange_b);
     do_exchange_batch(comm_b, cfg.strategy_b, send, rc_yz.data(),
                       rd_yz.data(), recv, sc_yz.data(), sd_yz.data(), nf);
   }
   void a2a_zx(const cplx* send, cplx* recv, std::size_t nf) {
-    const section_timer::section time_sec(comm_t);
+    const auto time_sec = timed(inv_ph_, exchange_a);
     do_exchange_batch(comm_a, cfg.strategy_a, send, sc_zx.data(),
                       sd_zx.data(), recv, rc_zx.data(), rd_zx.data(), nf);
   }
   void a2a_xz(const cplx* send, cplx* recv, std::size_t nf) {
-    const section_timer::section time_sec(comm_t);
+    const auto time_sec = timed(fwd_ph_, exchange_a);
     do_exchange_batch(comm_a, cfg.strategy_a, send, rc_zx.data(),
                       rd_zx.data(), recv, sc_zx.data(), sd_zx.data(), nf);
   }
@@ -603,6 +643,7 @@ struct parallel_fft::impl {
   void to_physical_batch(const cplx* const* specs, double* const* phys,
                          std::size_t nf) {
     PCF_REQUIRE(nf >= 1, "batch needs at least one field");
+    const phase_timer::section time_sec(*timer_, inv_ph_);
     ++transforms_;
     fields_ += nf;
     const auto mb = static_cast<std::size_t>(cfg.max_batch);
@@ -613,6 +654,7 @@ struct parallel_fft::impl {
   void to_spectral_batch(const double* const* phys, cplx* const* specs,
                          std::size_t nf) {
     PCF_REQUIRE(nf >= 1, "batch needs at least one field");
+    const phase_timer::section time_sec(*timer_, fwd_ph_);
     ++transforms_;
     fields_ += nf;
     const auto mb = static_cast<std::size_t>(cfg.max_batch);
@@ -637,7 +679,7 @@ struct parallel_fft::impl {
         zdst = a;
       }
       unpack_z_pencil(zsrc, zdst, nf);
-      z_fft(zdst, *z_inv, nf);
+      z_fft(zdst, *z_inv, inv_ph_, nf);
       pack_z_to_x(zdst, zsrc, nf);
       cplx* xsrc = zsrc;
       cplx* xdst = zdst;
@@ -653,7 +695,7 @@ struct parallel_fft::impl {
       cplx* c = w3.data();
       a2a_yz(a, b, nf);
       unpack_z_pencil(b, c, nf);
-      z_fft(c, *z_inv, nf);
+      z_fft(c, *z_inv, inv_ph_, nf);
       pack_z_to_x(c, a, nf);
       a2a_zx(a, b, nf);
       unpack_x_pencil(b, c, nf);
@@ -680,7 +722,7 @@ struct parallel_fft::impl {
         zdst = b;
       }
       unpack_z_from_x(zsrc, zdst, nf);
-      z_fft(zdst, *z_fwd, nf);
+      z_fft(zdst, *z_fwd, fwd_ph_, nf);
       pack_z_to_y(zdst, zsrc, scale, nf);
       const cplx* ysrc = zsrc;
       if (!skip_b_) {
@@ -693,7 +735,7 @@ struct parallel_fft::impl {
       pack_x_to_z(a, b, nf);
       a2a_xz(b, c, nf);
       unpack_z_from_x(c, a, nf);
-      z_fft(a, *z_fwd, nf);
+      z_fft(a, *z_fwd, fwd_ph_, nf);
       pack_z_to_y(a, b, scale, nf);
       a2a_zy(b, c, nf);
       unpack_y_pencil(c, specs, nf);
@@ -761,15 +803,19 @@ void parallel_fft::rebind_workspace() {
   if (!im.w3.empty()) im.w3.borrow(im.ws_->alloc<cplx>(wn), wn);
 }
 
-double parallel_fft::comm_seconds() const { return impl_->comm_t.total(); }
-double parallel_fft::reorder_seconds() const {
-  return impl_->reorder_t.total();
+void parallel_fft::time_into(phase_timer& timer, phase_timer::id parent) {
+  impl_->time_into(timer, parent);
 }
-double parallel_fft::fft_seconds() const { return impl_->fft_t.total(); }
-void parallel_fft::reset_timers() {
-  impl_->comm_t.reset();
-  impl_->reorder_t.reset();
-  impl_->fft_t.reset();
+phase_timer& parallel_fft::timer() { return *impl_->timer_; }
+
+double parallel_fft::comm_seconds() const {
+  return impl_->seconds({exchange_a, exchange_b});
+}
+double parallel_fft::reorder_seconds() const {
+  return impl_->seconds({pack_a, unpack_a, pack_b, unpack_b});
+}
+double parallel_fft::fft_seconds() const {
+  return impl_->seconds({fft_z, fft_x});
 }
 
 }  // namespace pcf::pencil

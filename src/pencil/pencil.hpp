@@ -22,7 +22,7 @@
 #include <memory>
 
 #include "fft/fft.hpp"
-#include "util/timer.hpp"
+#include "util/phase_timer.hpp"
 #include "util/workspace.hpp"
 #include "vmpi/vmpi.hpp"
 
@@ -190,11 +190,18 @@ class parallel_fft {
   /// are untouched, so a rebind costs two bump allocations.
   void rebind_workspace();
 
-  /// Section timers (accumulated across calls).
+  /// Time every later transform into `timer`, which must outlive those
+  /// calls: registers "to_physical" and "to_spectral" under `parent` (-1
+  /// for roots), each with one child per kernel function (pack / exchange
+  /// / unpack of stages B and A, fft_z, fft_x). The constructor attaches
+  /// a wall-time-only timer the kernel owns.
+  void time_into(phase_timer& timer, phase_timer::id parent);
+  /// The timer the kernel charges; whoever owns it resets it.
+  [[nodiscard]] phase_timer& timer();
+  /// Sums over the kernel's rows in timer(): exchanges, pack/unpack, FFTs.
   [[nodiscard]] double comm_seconds() const;
   [[nodiscard]] double reorder_seconds() const;
   [[nodiscard]] double fft_seconds() const;
-  void reset_timers();
 
  private:
   struct impl;

@@ -1,15 +1,20 @@
 // Hierarchical per-stage phase timing, wired into util/counters.
 //
-// The paper's Tables 9-10 break a step into sections with MPI_Wtime();
-// section_timer reproduces that flat view. The staged pipeline wants a
-// *tree* — step > nonlinear > {velocities, to_physical, ...} — with each
-// phase also attributing the flop/byte counts accumulated while it ran.
+// The paper's Tables 9-10 break a step into sections with MPI_Wtime(); the
+// repo times them as one *tree* — step > nonlinear > {velocities,
+// to_physical > {pack_b, fft_z, ...}, ...} — with each phase also
+// attributing the flop/byte counts accumulated while it ran.
 //
 // Phases are registered once (add()) and identified by small integer ids,
 // so start()/stop() in the hot loop are allocation-free: start() drains
 // the thread-local counter buckets and snapshots the global total; stop()
 // drains again and charges the delta to the phase. Parent phases therefore
 // include their children in both wall time and operation counts.
+//
+// A child is charged only while its parent is open, so a code path shared
+// with untimed callers (an observable re-running the velocity transform
+// between steps) adds nothing to the tree, and every row stays within its
+// parent.
 //
 // Caveat: the counter buckets are process-global, and vmpi ranks are
 // threads of one process — in a multi-rank run another rank's pool may be
@@ -47,7 +52,8 @@ class phase_timer {
   explicit phase_timer(bool track_ops = true) : track_ops_(track_ops) {}
 
   /// Register a phase under `parent` (-1 for a root). Registration is
-  /// construction-time only; ids are stable for the timer's lifetime.
+  /// construction-time only; ids are stable for the timer's lifetime and
+  /// consecutive in registration order (the index into phases()).
   id add(const std::string& name, id parent = -1) {
     phase_stats p;
     p.name = name;
@@ -60,10 +66,14 @@ class phase_timer {
 
   /// Begin timing a phase. Allocation-free. Phases may nest (a child
   /// starting inside its parent); one phase must not be started twice
-  /// concurrently.
+  /// concurrently. A child whose parent is not open is not charged, and
+  /// stop() of a phase that is not running is a no-op.
   void start(id p) {
     auto& l = live_[static_cast<std::size_t>(p)];
     assert(!l.running && "phase started twice without an intervening stop");
+    const id parent = phases_[static_cast<std::size_t>(p)].parent;
+    if (parent >= 0 && !live_[static_cast<std::size_t>(parent)].running)
+      return;
     l.running = true;
     ++open_;
     if (track_ops_) {
@@ -76,8 +86,8 @@ class phase_timer {
   /// End timing; charges wall seconds and the counter delta since start().
   void stop(id p) {
     auto& l = live_[static_cast<std::size_t>(p)];
+    if (!l.running) return;  // started outside its parent: not charged
     auto& s = phases_[static_cast<std::size_t>(p)];
-    assert(l.running && "phase stopped without a matching start");
     l.running = false;
     --open_;
     s.seconds += l.t.seconds();

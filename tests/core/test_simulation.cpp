@@ -3,9 +3,12 @@
 // decomposition independence.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <mutex>
 #include <numbers>
+#include <string>
+#include <vector>
 
 #include "core/simulation.hpp"
 
@@ -233,6 +236,69 @@ TEST(Dns, TimingsBreakdownAccumulates) {
     EXPECT_GT(t.advance, 0.0);
     dns.reset_timings();
     EXPECT_EQ(dns.timings().total, 0.0);
+  });
+}
+
+// One tree covers the step and only the step: observables computed
+// between steps re-run the velocity transform but charge nothing, every
+// row stays within its parent, and the pencil kernel's sections fill the
+// two transforms.
+TEST(Dns, PhaseTreeCoversTheStepOnly) {
+  run_world(1, [&](communicator& world) {
+    channel_config cfg;  // the quickstart grid
+    cfg.nx = 16;
+    cfg.nz = 16;
+    cfg.ny = 33;
+    cfg.re_tau = 180.0;
+    cfg.dt = 1e-4;
+    channel_dns dns(cfg, world);
+    dns.initialize(0.1);
+    const int steps = 10;
+    for (int s = 0; s < steps; ++s) {
+      dns.step();
+      EXPECT_GT(dns.kinetic_energy(), 0.0);
+      dns.accumulate_stats();
+    }
+    const auto t = dns.timings();
+    const auto& rows = t.phases;
+    auto find = [&](const std::string& name) {
+      for (std::size_t i = 0; i < rows.size(); ++i)
+        if (rows[i].name == name) return static_cast<int>(i);
+      return -1;
+    };
+    const auto at = [&](int i) -> const auto& {
+      return rows[static_cast<std::size_t>(i)];
+    };
+    EXPECT_EQ(at(find("step")).calls, steps);
+    EXPECT_EQ(at(find("nonlinear")).calls, 3 * steps);
+    EXPECT_EQ(at(find("velocities")).calls, 3 * steps);
+    for (const auto& r : rows) {
+      if (r.parent < 0) continue;
+      EXPECT_LE(r.seconds, at(r.parent).seconds) << r.name;
+    }
+
+    for (const char* transform : {"to_physical", "to_spectral"}) {
+      const int root = find(transform);
+      ASSERT_GE(root, 0) << transform;
+      EXPECT_EQ(at(root).calls, 3 * steps) << transform;
+      std::vector<std::string> children;
+      double covered = 0.0;
+      for (const auto& r : rows)
+        if (r.parent == root) {
+          children.push_back(r.name);
+          covered += r.seconds;
+        }
+      std::sort(children.begin(), children.end());
+      EXPECT_EQ(children,
+                (std::vector<std::string>{"exchange_a", "exchange_b",
+                                          "fft_x", "fft_z", "pack_a",
+                                          "pack_b", "unpack_a", "unpack_b"}))
+          << transform;
+      EXPECT_GE(covered, 0.9 * at(root).seconds) << transform;
+    }
+    EXPECT_GT(t.transpose, 0.0);
+    EXPECT_GT(t.fft, 0.0);
+    EXPECT_LE(t.transpose + t.fft + t.advance, t.total);
   });
 }
 

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -53,6 +55,18 @@ struct BCase {
   int max_batch;
   int rounds;  // batched round trips on one instance, each checked
 };
+
+// Test names and the GetParam() note in the test listing are spelled from
+// the fields: gtest's default dump of BCase prints its raw bytes, padding
+// after `p3dfft` included, so the test IDs changed from build to build.
+std::string case_name(const BCase& c) {
+  return "pa" + std::to_string(c.pa) + "_pb" + std::to_string(c.pb) + "_t" +
+         std::to_string(c.fft_threads) + "r" +
+         std::to_string(c.reorder_threads) + "_p3d" +
+         std::to_string(c.p3dfft ? 1 : 0) + "_mb" +
+         std::to_string(c.max_batch) + "_r" + std::to_string(c.rounds);
+}
+void PrintTo(const BCase& c, std::ostream* os) { *os << case_name(c); }
 
 class BatchedCases : public ::testing::TestWithParam<BCase> {};
 
@@ -139,7 +153,10 @@ INSTANTIATE_TEST_SUITE_P(
         BCase{2, 2, 1, 1, false, 2, 1}, BCase{1, 4, 1, 1, false, 3, 1},
         BCase{2, 1, 1, 1, false, 1, 1}, BCase{3, 2, 1, 1, false, 2, 1},
         // repeated round trips: threaded pools, P3DFFT mode
-        BCase{2, 2, 3, 2, false, 5, 2}, BCase{2, 2, 1, 1, true, 5, 2}));
+        BCase{2, 2, 3, 2, false, 5, 2}, BCase{2, 2, 1, 1, true, 5, 2}),
+    [](const ::testing::TestParamInfo<BCase>& info) {
+      return case_name(info.param);
+    });
 
 TEST(PfftBatch, PairwiseStrategyBatchesIdentically) {
   const grid g{16, 7, 8};

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <mutex>
 #include <numbers>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -316,21 +317,62 @@ TEST(Pfft, WorkspaceCustomSmallerThanP3dfft) {
   });
 }
 
+// The kernel times into a phase tree (its own timer until re-attached):
+// to_physical / to_spectral roots with one child per kernel section, and
+// the flat accessors are sums over those rows. The timer's owner resets it.
 TEST(Pfft, TimersAccumulateAndReset) {
   const grid g{16, 4, 8};
-  run_world(1, [&](communicator& world) {
-    cart2d cart(world, 1, 1);
+  run_world(2, [&](communicator& world) {
+    cart2d cart(world, 2, 1);  // stage A exchanges, stage B is degenerate
     parallel_fft pf(g, cart, kernel_config{});
     const auto& d = pf.dec();
     aligned_buffer<cplx> spec(d.y_pencil_elems(), cplx{0, 0});
     aligned_buffer<double> phys(d.x_pencil_real_elems());
     pf.to_physical(spec.data(), phys.data());
+
+    const auto& rows = pf.timer().phases();
+    auto row = [&](const std::string& name, int parent) {
+      for (std::size_t i = 0; i < rows.size(); ++i)
+        if (rows[i].name == name && rows[i].parent == parent)
+          return static_cast<int>(i);
+      return -1;
+    };
+    const int inv = row("to_physical", -1);
+    const int fwd = row("to_spectral", -1);
+    ASSERT_GE(inv, 0);
+    ASSERT_GE(fwd, 0);
+    std::vector<std::string> children;
+    double child_seconds = 0.0, fft = 0.0, comm = 0.0;
+    for (const auto& r : rows) {
+      if (r.parent != inv) continue;
+      children.push_back(r.name);
+      child_seconds += r.seconds;
+      if (r.name.starts_with("fft_")) fft += r.seconds;
+      if (r.name.starts_with("exchange_")) comm += r.seconds;
+    }
+    EXPECT_EQ(children,
+              (std::vector<std::string>{"pack_b", "exchange_b", "unpack_b",
+                                        "fft_z", "pack_a", "exchange_a",
+                                        "unpack_a", "fft_x"}));
+    const auto at = [&](int i) { return rows[static_cast<std::size_t>(i)]; };
+    EXPECT_EQ(at(inv).calls, 1);
+    EXPECT_EQ(at(fwd).calls, 0);
+    EXPECT_EQ(at(row("exchange_a", inv)).calls, 1);
+    EXPECT_EQ(at(row("exchange_b", inv)).calls, 0);  // size-1 CommB
+    EXPECT_LE(child_seconds, at(inv).seconds);
     EXPECT_GT(pf.fft_seconds(), 0.0);
     EXPECT_GT(pf.reorder_seconds(), 0.0);
-    EXPECT_GE(pf.comm_seconds(), 0.0);
-    pf.reset_timers();
+    EXPECT_GT(pf.comm_seconds(), 0.0);
+    EXPECT_DOUBLE_EQ(pf.fft_seconds(), fft);
+    EXPECT_DOUBLE_EQ(pf.comm_seconds(), comm);
+    EXPECT_LE(pf.fft_seconds() + pf.reorder_seconds() + pf.comm_seconds(),
+              at(inv).seconds);
+
+    pf.timer().reset();
     EXPECT_EQ(pf.fft_seconds(), 0.0);
+    EXPECT_EQ(pf.reorder_seconds(), 0.0);
     EXPECT_EQ(pf.comm_seconds(), 0.0);
+    EXPECT_EQ(at(inv).calls, 0);
   });
 }
 

@@ -1,5 +1,6 @@
 // Hierarchical phase timer: tree registration, call counting, parent
-// inclusion of children, op-count attribution, and reset.
+// inclusion of children, the parent-open rule, op-count attribution, and
+// reset.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -66,6 +67,39 @@ TEST(PhaseTimer, SectionsUnwindBalancedOnException) {
   EXPECT_EQ(t.phases()[static_cast<std::size_t>(root)].calls, 2);
   t.reset();  // balanced: the debug assert in reset() must not fire
   EXPECT_EQ(t.phases()[static_cast<std::size_t>(root)].calls, 0);
+}
+
+// A child is charged only inside its parent's interval: a section
+// started while the parent is closed records nothing, leaves the timer
+// balanced, and its grandchildren are not charged either.
+TEST(PhaseTimer, ChildStartedOutsideItsParentIsNotCharged) {
+  phase_timer t(true);
+  const auto root = t.add("step");
+  const auto child = t.add("to_physical", root);
+  const auto grand = t.add("fft_z", child);
+  {
+    phase_timer::section outside(t, child);
+    EXPECT_EQ(t.open_phases(), 0);
+    phase_timer::section inner(t, grand);
+    pcf::counters::add_flops(7);
+  }
+  const auto& p = t.phases();
+  EXPECT_EQ(p[static_cast<std::size_t>(child)].calls, 0);
+  EXPECT_EQ(p[static_cast<std::size_t>(child)].seconds, 0.0);
+  EXPECT_EQ(p[static_cast<std::size_t>(child)].ops.flops, 0u);
+  EXPECT_EQ(p[static_cast<std::size_t>(grand)].calls, 0);
+  EXPECT_EQ(t.open_phases(), 0);
+  // Inside the parent the same sections are charged as usual.
+  {
+    phase_timer::section step_sec(t, root);
+    phase_timer::section child_sec(t, child);
+    phase_timer::section grand_sec(t, grand);
+    EXPECT_EQ(t.open_phases(), 3);
+  }
+  EXPECT_EQ(p[static_cast<std::size_t>(root)].calls, 1);
+  EXPECT_EQ(p[static_cast<std::size_t>(child)].calls, 1);
+  EXPECT_EQ(p[static_cast<std::size_t>(grand)].calls, 1);
+  EXPECT_EQ(t.open_phases(), 0);
 }
 
 TEST(PhaseTimer, AttributesOpCountsWhenTracking) {
